@@ -26,6 +26,7 @@ from .boolmat import (
     mul_calls,
     power,
     reset_mul_calls,
+    row_times_power,
     set_default_method,
 )
 from .enumeration import PaddedNfa, enumerate_fast, pad_with_chain
@@ -71,6 +72,7 @@ __all__ = [
     "reduce_ov",
     "reduce_triangle",
     "reset_mul_calls",
+    "row_times_power",
     "set_default_method",
     "simulate",
     "trim",

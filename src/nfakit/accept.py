@@ -4,7 +4,7 @@ and the quadratic-per-step baseline enumeration for unary acyclic NFAs."""
 from __future__ import annotations
 
 from .automata import Nfa, adjacency_matrix, require_unary_acyclic
-from .boolmat import power
+from .boolmat import row_times_power
 
 Word = str
 
@@ -23,15 +23,12 @@ def _finals_mask(nfa: Nfa) -> int:
 def accepts_length(nfa: Nfa, length: int) -> bool:
     """True iff the automaton accepts some word of exactly this length.
 
-    Raises the adjacency matrix to the given power and checks the start
-    row against the final-state columns; length 0 asks whether the start
-    state is final.
+    Multiplies the start state's row vector by the given power of the
+    adjacency matrix and checks it against the final-state columns; length
+    0 asks whether the start state is final.
     """
-    finals = _finals_mask(nfa)
-    if length == 0:
-        return bool(finals >> nfa.start & 1)
-    m = power(adjacency_matrix(nfa), length)
-    return bool(m.rows[nfa.start] & finals)
+    reached = row_times_power(adjacency_matrix(nfa), 1 << nfa.start, length)
+    return bool(reached & _finals_mask(nfa))
 
 
 def simulate(nfa: Nfa, word: Word) -> bool:

@@ -1,4 +1,5 @@
-"""Square boolean matrices with bit-packed rows: product and power."""
+"""Square boolean matrices with bit-packed rows: product, power and row
+vector times power."""
 
 from __future__ import annotations
 
@@ -83,10 +84,14 @@ def mul(a: BoolMatrix, b: BoolMatrix, method: str | None = None) -> BoolMatrix:
     return BoolMatrix(a.dim, tuple(rows))
 
 
-def power(a: BoolMatrix, e: int) -> BoolMatrix:
-    """Raise a to the e-th boolean power with O(log e) products."""
+def _check_exponent(e: int) -> None:
     if e < 0 or e >> 64:
         raise ValueError(f"exponent must fit in 64 unsigned bits, got {e}")
+
+
+def power(a: BoolMatrix, e: int) -> BoolMatrix:
+    """Raise a to the e-th boolean power with O(log e) products."""
+    _check_exponent(e)
     if e == 0:
         return identity(a.dim)
     result = a
@@ -95,6 +100,40 @@ def power(a: BoolMatrix, e: int) -> BoolMatrix:
         if e >> shift & 1:
             result = mul(result, a)
     return result
+
+
+def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
+    """Row vector times a**e: bit j is set iff some set bit i of row has
+    a**e entry (i, j).
+
+    Walks the bits of e from low to high, folding a**(2**j) into the vector
+    where bit j is set, so the only matrix products are the squarings, at
+    most floor(log2 e) of them. Squaring stops once the vector is zero, and
+    once a square equals an earlier one: the squares then cycle, and the
+    rest are read from those already made.
+    """
+    _check_exponent(e)
+    if row < 0 or row >> a.dim:
+        raise ValueError(f"row has bits outside columns 0..{a.dim - 1}")
+    square = a
+    squares = []  # rows of a**(2**j) for j = 0, 1, ... until one repeats
+    first_index = {}  # keyed on the rows themselves, so a repeat is exact
+    period = 0
+    for j in range(e.bit_length()):
+        if not row:
+            break
+        if not period:
+            if j:
+                square = mul(square, square)
+            start = first_index.setdefault(square.rows, j)
+            if start < j:
+                period = j - start
+            else:
+                squares.append(square.rows)
+        rows = squares[start + (j - start) % period] if period else squares[j]
+        if e >> j & 1:
+            row = _mul_rows_packed((row,), rows, a.dim)[0]
+    return row
 
 
 def _mul_rows_packed(arows, brows, dim):

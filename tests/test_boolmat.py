@@ -8,6 +8,7 @@ from nfakit.boolmat import (
     mul_calls,
     power,
     reset_mul_calls,
+    row_times_power,
     set_default_method,
 )
 
@@ -131,6 +132,53 @@ def test_power_additivity_random():
         a = random_matrix(rng, dim)
         x, y = rng.randint(0, 64), rng.randint(0, 64)
         assert power(a, x + y) == mul(power(a, x), power(a, y))
+
+
+def permutation_matrix(rng, dim):
+    order = list(range(dim))
+    rng.shuffle(order)
+    return BoolMatrix(dim, tuple(1 << j for j in order))
+
+
+def nilpotent_matrix(rng, dim):
+    # edges only from lower to higher index, so every path dies within dim steps
+    return BoolMatrix(dim, tuple(rng.getrandbits(dim) >> (i + 1) << (i + 1) for i in range(dim)))
+
+
+def test_row_times_power_matches_power():
+    rng = seeded(111)
+    makers = (
+        random_matrix,
+        permutation_matrix,
+        nilpotent_matrix,
+        lambda rng, dim: BoolMatrix(dim, (0,) * dim),
+    )
+    for _ in range(300):
+        dim = rng.randint(1, 12)
+        a = rng.choice(makers)(rng, dim)
+        for e in (0, 1, 2, (1 << 64) - 1, rng.getrandbits(rng.randint(1, 64))):
+            m = power(a, e)
+            source = rng.randrange(dim)
+            assert row_times_power(a, 1 << source, e) == m.rows[source]
+            row = rng.getrandbits(dim)
+            expected = 0
+            for i in range(dim):
+                if row >> i & 1:
+                    expected |= m.rows[i]
+            assert row_times_power(a, row, e) == expected
+
+
+def test_row_times_power_rejects_bad_input():
+    a = identity(3)
+    with pytest.raises(ValueError):
+        row_times_power(a, 1, -1)
+    with pytest.raises(ValueError):
+        row_times_power(a, 1, 1 << 64)
+    with pytest.raises(ValueError):
+        row_times_power(a, 1 << 3, 1)
+    with pytest.raises(ValueError):
+        row_times_power(a, -1, 1)
+    assert row_times_power(a, 0b101, (1 << 64) - 1) == 0b101
 
 
 def layered_reach(rows, dim, source, steps):

@@ -149,6 +149,25 @@ def test_accept_length_rejects_bad_lengths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_accept_length_rejects_non_ascii_digits(tmp_path, capsys):
+    # str.isdigit accepts these, int() rejects the superscript
+    path = write(tmp_path, "loop.nfa", SELF_LOOP_NFA)
+    for length in ("²", "٢", "1²"):
+        assert main(["accept-length", path, length]) == 2
+        assert capsys.readouterr().err.startswith("error: length must be a decimal integer")
+
+
+def test_nfa_parser_rejects_non_ascii_digits(tmp_path, capsys):
+    # int() would read these as 2
+    for text in ("states ٢\nalphabet a\nstart 0\nfinal 1\n", CHAIN_NFA.replace("0 a 1", "0 a １")):
+        with pytest.raises(ParseError) as err:
+            parse_nfa(text)
+        assert err.value.line is not None
+        path = write(tmp_path, "digits.nfa", text)
+        assert main(["validate", path]) == 2
+        assert "line" in capsys.readouterr().err
+
+
 def test_reduce_triangle_writes_parseable_file(tmp_path, capsys):
     graph = write(tmp_path, "c4.graph", C4_GRAPH)
     out_nfa = str(tmp_path / "c4.nfa")
