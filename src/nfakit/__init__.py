@@ -15,6 +15,7 @@ from .automata import (
     NotUnaryError,
     ValidationReport,
     adjacency_matrix,
+    finals_mask,
     trim,
     validate,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "adjacency_matrix",
     "enumerate_fast",
     "enumerate_naive",
+    "finals_mask",
     "has_triangle_brute",
     "has_triangle_matmul",
     "identity",

@@ -3,7 +3,7 @@ and the quadratic-per-step baseline enumeration for unary acyclic NFAs."""
 
 from __future__ import annotations
 
-from .automata import Nfa, adjacency_matrix, require_unary_acyclic
+from .automata import Nfa, adjacency_matrix, finals_mask, require_unary_acyclic
 from .boolmat import row_times_power
 
 Word = str
@@ -11,13 +11,6 @@ Word = str
 
 class SymbolNotInAlphabetError(ValueError):
     """A word contains a symbol outside the automaton's alphabet."""
-
-
-def _finals_mask(nfa: Nfa) -> int:
-    mask = 0
-    for q in nfa.finals:
-        mask |= 1 << q
-    return mask
 
 
 def accepts_length(nfa: Nfa, length: int) -> bool:
@@ -28,7 +21,7 @@ def accepts_length(nfa: Nfa, length: int) -> bool:
     0 asks whether the start state is final.
     """
     reached = row_times_power(adjacency_matrix(nfa), 1 << nfa.start, length)
-    return bool(reached & _finals_mask(nfa))
+    return bool(reached & finals_mask(nfa))
 
 
 def simulate(nfa: Nfa, word: Word) -> bool:
@@ -40,7 +33,6 @@ def simulate(nfa: Nfa, word: Word) -> bool:
     successors = {ch: [0] * nfa.state_count for ch in nfa.alphabet}
     for src, sym, dst in nfa.transitions:
         successors[sym][src] |= 1 << dst
-    finals = _finals_mask(nfa)
     frontier = 1 << nfa.start
     for ch in word:
         rows = successors[ch]
@@ -51,10 +43,9 @@ def simulate(nfa: Nfa, word: Word) -> bool:
             nxt |= rows[low.bit_length() - 1]
             bits ^= low
         frontier = nxt
-        assert frontier >> nfa.state_count == 0
         if not frontier:
             return False
-    return bool(frontier & finals)
+    return bool(frontier & finals_mask(nfa))
 
 
 def enumerate_naive(nfa: Nfa) -> tuple[int, ...]:
@@ -68,7 +59,7 @@ def enumerate_naive(nfa: Nfa) -> tuple[int, ...]:
     require_unary_acyclic(nfa)
     n = nfa.state_count
     successors = adjacency_matrix(nfa).rows
-    finals = _finals_mask(nfa)
+    finals = finals_mask(nfa)
     masks = [1 << q for q in range(n)]
     frontier = 1 << nfa.start
     lengths = []

@@ -7,7 +7,6 @@ All values are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -113,29 +112,31 @@ class ValidationReport:
     unary: bool
 
 
-def _adjacency_lists(nfa: Nfa) -> tuple[list[list[int]], list[list[int]]]:
+def _successor_lists(nfa: Nfa) -> list[list[int]]:
     fwd: list[list[int]] = [[] for _ in range(nfa.state_count)]
-    rev: list[list[int]] = [[] for _ in range(nfa.state_count)]
     for src, _sym, dst in nfa.transitions:
         fwd[src].append(dst)
-        rev[dst].append(src)
-    for lst in fwd:
-        lst.sort()
-    for lst in rev:
-        lst.sort()
-    return fwd, rev
+    return fwd
 
 
 def _closure(adj: list[list[int]], roots: Iterable[int]) -> set[int]:
     seen = set(roots)
-    queue = deque(seen)
-    while queue:
-        node = queue.popleft()
+    stack = list(seen)
+    while stack:
+        node = stack.pop()
         for nxt in adj[node]:
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
+                stack.append(nxt)
     return seen
+
+
+def _live_states(nfa: Nfa, fwd: list[list[int]]) -> tuple[set[int], set[int]]:
+    """States reachable from the start, and states that reach a final state."""
+    rev: list[list[int]] = [[] for _ in fwd]
+    for src, _sym, dst in nfa.transitions:
+        rev[dst].append(src)
+    return _closure(fwd, [nfa.start]), _closure(rev, nfa.finals)
 
 
 def _is_acyclic(fwd: list[list[int]]) -> bool:
@@ -166,9 +167,8 @@ def _is_acyclic(fwd: list[list[int]]) -> bool:
 
 def validate(nfa: Nfa) -> ValidationReport:
     """Report start-reachability, coaccessibility, acyclicity and unarity."""
-    fwd, rev = _adjacency_lists(nfa)
-    reachable = _closure(fwd, [nfa.start])
-    coreachable = _closure(rev, sorted(nfa.finals))
+    fwd = _successor_lists(nfa)
+    reachable, coreachable = _live_states(nfa, fwd)
     return ValidationReport(
         initially_connected=len(reachable) == nfa.state_count,
         coaccessible=len(coreachable) == nfa.state_count,
@@ -179,10 +179,9 @@ def validate(nfa: Nfa) -> ValidationReport:
 
 def require_unary_acyclic(nfa: Nfa) -> None:
     """Raise NotUnaryError or NotAcyclicError unless both properties hold."""
-    report = validate(nfa)
-    if not report.unary:
+    if len(nfa.alphabet) != 1:
         raise NotUnaryError("alphabet must contain exactly one symbol")
-    if not report.acyclic:
+    if not _is_acyclic(_successor_lists(nfa)):
         raise NotAcyclicError("transition diagram must be acyclic")
 
 
@@ -192,20 +191,17 @@ def trim(nfa: Nfa) -> Nfa:
     Renumbering preserves the relative order of surviving state indices.
     Raises EmptyLanguageError when no final state is reachable from start.
     """
-    fwd, rev = _adjacency_lists(nfa)
-    reachable = _closure(fwd, [nfa.start])
-    coreachable = _closure(rev, sorted(nfa.finals))
+    reachable, coreachable = _live_states(nfa, _successor_lists(nfa))
     keep = sorted(reachable & coreachable)
     if not keep:
         raise EmptyLanguageError("no final state is reachable from the start state")
-    keepset = set(keep)
     remap = {old: new for new, old in enumerate(keep)}
     transitions = frozenset(
         (remap[src], sym, remap[dst])
         for src, sym, dst in nfa.transitions
-        if src in keepset and dst in keepset
+        if src in remap and dst in remap
     )
-    finals = frozenset(remap[q] for q in nfa.finals if q in keepset)
+    finals = frozenset(remap[q] for q in nfa.finals if q in remap)
     return Nfa(len(keep), nfa.alphabet, remap[nfa.start], finals, transitions)
 
 
@@ -215,3 +211,8 @@ def adjacency_matrix(nfa: Nfa) -> BoolMatrix:
     for src, _sym, dst in nfa.transitions:
         rows[src] |= 1 << dst
     return BoolMatrix(nfa.state_count, tuple(rows))
+
+
+def finals_mask(nfa: Nfa) -> int:
+    """Bit q set iff state q is final."""
+    return sum(1 << q for q in nfa.finals)

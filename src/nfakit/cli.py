@@ -12,7 +12,9 @@ come first (in any order, each exactly once), followed by one
 "<from> <sym> <to>" line per transition. Graph files start with "<n> <m>"
 followed by m undirected edge lines "<u> <v>". Orthogonal-vectors files
 start with "<n> <d>" followed by n lines "v <bits>" and then n lines
-"w <bits>", each bitstring of length d.
+"w <bits>", each bitstring of length d. Numbers are ASCII decimal digits.
+An NFA file may declare at most MAX_STATES states and a graph file at most
+MAX_STATES // 4 vertices.
 
 Exit codes: 0 positive answer, 1 negative answer or failed validation,
 2 malformed input.
@@ -39,6 +41,10 @@ from .reductions import (
 )
 
 MAX_LENGTH = 1 << 63
+# Most states an input file may ask for: an NFA file's 'states' count, or 4n
+# for an n-vertex graph, as its triangle reduction has 4n states. It is checked
+# at the header line, before any per-state list or matrix row is allocated.
+MAX_STATES = 1 << 16
 
 
 class ParseError(Exception):
@@ -69,14 +75,12 @@ def _content_lines(text: str):
         yield number, stripped.split()
 
 
-def _int_token(token: str, what: str, line: int, source: str | None) -> int:
-    # int() also takes non-ASCII digits such as '٢'; the file formats do not
-    try:
-        if token.isascii():
-            return int(token, 10)
-    except ValueError:
-        pass
-    raise ParseError(f"{what} must be an integer, got {token!r}", line, source)
+def _int_token(token: str, what: str, line: int | None = None, source: str | None = None) -> int:
+    # int() also takes '_', a sign and non-ASCII digits such as '٢';
+    # str.isdigit() alone also takes superscripts such as '²'
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(f"{what} must be a decimal integer, got {token!r}", line, source)
+    return int(token, 10)
 
 
 def parse_nfa(text: str, source: str | None = None) -> Nfa:
@@ -98,8 +102,10 @@ def parse_nfa(text: str, source: str | None = None) -> Nfa:
                 if len(tokens) != 2:
                     raise ParseError("expected 'states <n>'", line, source)
                 state_count = _int_token(tokens[1], "state count", line, source)
-                if state_count < 1:
-                    raise ParseError(f"state count must be >= 1, got {state_count}", line, source)
+                if not 1 <= state_count <= MAX_STATES:
+                    raise ParseError(
+                        f"state count must be in 1..{MAX_STATES}, got {state_count}", line, source
+                    )
             elif key == "alphabet":
                 if alphabet is not None:
                     raise ParseError("duplicate 'alphabet' line", line, source)
@@ -177,10 +183,8 @@ def parse_graph(text: str, source: str | None = None) -> Graph:
         raise ParseError("expected '<n> <m>' on the first line", line, source)
     n = _int_token(tokens[0], "vertex count", line, source)
     m = _int_token(tokens[1], "edge count", line, source)
-    if n < 1:
-        raise ParseError(f"vertex count must be >= 1, got {n}", line, source)
-    if m < 0:
-        raise ParseError(f"edge count must be >= 0, got {m}", line, source)
+    if not 1 <= 4 * n <= MAX_STATES:
+        raise ParseError(f"vertex count must be in 1..{MAX_STATES // 4}, got {n}", line, source)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", None, source)
     edges = set()
@@ -264,10 +268,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_accept_length(args) -> int:
-    # str.isdigit also takes superscripts such as '²', which int() rejects
-    if not (args.length.isascii() and args.length.isdigit()):
-        raise ParseError(f"length must be a decimal integer, got {args.length!r}")
-    length = int(args.length, 10)
+    length = _int_token(args.length, "length")
     if length > MAX_LENGTH:
         raise ParseError(f"length {length} exceeds 2^63")
     nfa = _load_nfa(args.nfa)
@@ -331,12 +332,11 @@ def _median_time(fn, repetitions: int):
 
 
 def cmd_bench(args) -> int:
-    try:
-        sizes = [int(token) for token in args.sizes.split(",")]
-    except ValueError:
-        raise ParseError(f"sizes must be comma-separated integers, got {args.sizes!r}")
-    if not sizes or any(n < 1 for n in sizes):
+    sizes = [_int_token(token, "size") for token in args.sizes.split(",")]
+    if any(n < 1 for n in sizes):
         raise ParseError("sizes must be positive")
+    if args.trials < 1:
+        raise ParseError(f"trials must be >= 1, got {args.trials}")
     print(
         "# layered-forward unary acyclic NFAs, expected out-degree 2, "
         f"base seed {args.seed}, trials {args.trials}"

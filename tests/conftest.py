@@ -1,9 +1,25 @@
 """Shared generators for seeded and exhaustive test instances."""
 
+import os
 import random
 from itertools import combinations
+from pathlib import Path
+
+import pytest
 
 from nfakit import Graph, Nfa
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def checkout_on_subprocess_path():
+    """Let subprocesses such as `python -m nfakit.cli` import this checkout,
+    as the tests themselves do through pytest's `pythonpath` setting."""
+    with pytest.MonkeyPatch.context() as patch:
+        paths = filter(None, (SRC, os.environ.get("PYTHONPATH")))
+        patch.setenv("PYTHONPATH", os.pathsep.join(paths))
+        yield
 
 
 def all_graphs(n):

@@ -4,6 +4,7 @@ import pytest
 
 from nfakit import Graph, Nfa, OvInstance, ov_brute, reduce_ov, reduce_triangle
 from nfakit.cli import (
+    MAX_STATES,
     ParseError,
     main,
     parse_graph,
@@ -166,6 +167,42 @@ def test_nfa_parser_rejects_non_ascii_digits(tmp_path, capsys):
         path = write(tmp_path, "digits.nfa", text)
         assert main(["validate", path]) == 2
         assert "line" in capsys.readouterr().err
+
+
+def test_nfa_parser_rejects_underscores_and_signs(tmp_path, capsys):
+    # int() would read these as 10, 0 and 9
+    cases = (
+        ("states 1_0\nalphabet a\nstart +0\nfinal 0_9\n", 1),
+        ("states 10\nalphabet a\nstart +0\nfinal 9\n", 3),
+        ("states 10\nalphabet a\nstart 0\nfinal 0_9\n", 4),
+    )
+    for text, line in cases:
+        with pytest.raises(ParseError) as err:
+            parse_nfa(text)
+        assert err.value.line == line
+        path = write(tmp_path, "signs.nfa", text)
+        assert main(["validate", path]) == 2
+        assert f"line {line}: " in capsys.readouterr().err
+
+
+def test_state_cap_is_checked_at_the_header(tmp_path, capsys):
+    header = "alphabet a\nstart 0\nfinal 0\n"
+    assert parse_nfa(f"states {MAX_STATES}\n{header}").state_count == MAX_STATES
+    assert parse_graph(f"{MAX_STATES // 4} 0\n").vertex_count == MAX_STATES // 4
+    huge = (
+        (parse_nfa, "validate", f"# cap\nstates 100000000\n{header}", 2),
+        (parse_nfa, "validate", f"states {MAX_STATES + 1}\n{header}", 1),
+        (parse_graph, "triangle-check", "100000000 0\n", 1),
+        (parse_graph, "triangle-check", f"{MAX_STATES // 4 + 1} 0\n", 1),
+    )
+    for parse, command, text, line in huge:
+        # the parser must refuse these before anything per state is allocated
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
+        path = write(tmp_path, "huge.txt", text)
+        assert main([command, path]) == 2
+        assert f"line {line}: " in capsys.readouterr().err
 
 
 def test_reduce_triangle_writes_parseable_file(tmp_path, capsys):
@@ -353,3 +390,11 @@ def test_bench_rejects_bad_sizes(capsys):
     assert main(["bench", "--sizes", "0"]) == 2
     assert main(["bench", "--sizes", "abc"]) == 2
     capsys.readouterr()
+
+
+def test_bench_rejects_non_decimal_sizes_and_zero_trials(capsys):
+    for argv in (["--sizes", "1_6"], ["--sizes", "١٦"], ["--sizes", "8", "--trials", "0"]):
+        assert main(["bench", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

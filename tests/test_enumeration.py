@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from nfakit import (
@@ -5,8 +7,10 @@ from nfakit import (
     NotAcyclicError,
     NotUnaryError,
     accepts_length,
+    adjacency_matrix,
     enumerate_fast,
     enumerate_naive,
+    finals_mask,
     mul_calls,
     pad_with_chain,
 )
@@ -72,6 +76,33 @@ def test_chain_distance_to_original_start():
             steps += 1
             assert steps <= chain
         assert steps == chain - i
+
+
+def random_dag_nfa(n, seed):
+    """Unary acyclic NFA on a shuffled state order, with a random start."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    transitions = {
+        (order[i], "a", order[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 3 / n
+    }
+    finals = frozenset(q for q in range(n) if rng.random() < 0.3)
+    return Nfa(n, ("a",), rng.randrange(n), finals, frozenset(transitions))
+
+
+def test_pad_matrix_matches_its_nfa_view():
+    for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 40):
+        for seed in range(5):
+            nfa = random_dag_nfa(n, 1000 * n + seed)
+            padded = pad_with_chain(nfa)
+            assert padded.matrix == adjacency_matrix(padded.nfa)
+            assert padded.matrix.dim == n + (1 << padded.k)
+            mask = finals_mask(nfa)
+            assert {q for q in range(n) if mask >> q & 1} == nfa.finals
+            assert mask >> n == 0
 
 
 # ---------------------------------------------------------------------------
