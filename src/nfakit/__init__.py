@@ -28,7 +28,6 @@ from .boolmat import (
     power,
     reset_mul_calls,
     row_times_power,
-    set_default_method,
 )
 from .enumeration import PaddedNfa, enumerate_fast, pad_with_chain
 from .reductions import (
@@ -75,7 +74,6 @@ __all__ = [
     "reduce_triangle",
     "reset_mul_calls",
     "row_times_power",
-    "set_default_method",
     "simulate",
     "trim",
     "validate",

@@ -4,7 +4,7 @@ and the quadratic-per-step baseline enumeration for unary acyclic NFAs."""
 from __future__ import annotations
 
 from .automata import Nfa, adjacency_matrix, finals_mask, require_unary_acyclic
-from .boolmat import row_times_power
+from .boolmat import _row_times, row_times_power
 
 Word = str
 
@@ -33,16 +33,10 @@ def simulate(nfa: Nfa, word: Word) -> bool:
     successors = {ch: [0] * nfa.state_count for ch in nfa.alphabet}
     for src, sym, dst in nfa.transitions:
         successors[sym][src] |= 1 << dst
+    nbytes = (nfa.state_count + 7) >> 3
     frontier = 1 << nfa.start
     for ch in word:
-        rows = successors[ch]
-        nxt = 0
-        bits = frontier
-        while bits:
-            low = bits & -bits
-            nxt |= rows[low.bit_length() - 1]
-            bits ^= low
-        frontier = nxt
+        frontier = _row_times(frontier, successors[ch], nbytes)
         if not frontier:
             return False
     return bool(frontier & finals_mask(nfa))

@@ -140,29 +140,20 @@ def _live_states(nfa: Nfa, fwd: list[list[int]]) -> tuple[set[int], set[int]]:
 
 
 def _is_acyclic(fwd: list[list[int]]) -> bool:
-    # iterative three-color depth-first search, roots in ascending order
-    white, grey, black = 0, 1, 2
-    color = [white] * len(fwd)
-    for root in range(len(fwd)):
-        if color[root] != white:
-            continue
-        color[root] = grey
-        stack = [(root, iter(fwd[root]))]
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if color[child] == grey:
-                    return False
-                if color[child] == white:
-                    color[child] = grey
-                    stack.append((child, iter(fwd[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = black
-                stack.pop()
-    return True
+    # Kahn: peel states of in-degree zero; a cycle keeps its states unpeeled
+    indegree = [0] * len(fwd)
+    for succ in fwd:
+        for q in succ:
+            indegree[q] += 1
+    ready = [q for q, count in enumerate(indegree) if not count]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for q in fwd[ready.pop()]:
+            indegree[q] -= 1
+            if not indegree[q]:
+                ready.append(q)
+    return peeled == len(fwd)
 
 
 def validate(nfa: Nfa) -> ValidationReport:

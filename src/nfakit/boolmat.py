@@ -14,7 +14,6 @@ class DimensionMismatchError(ValueError):
 _BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
 
 _mul_calls = 0
-_default_method = "packed"
 
 _METHODS = ("packed", "naive")
 
@@ -48,14 +47,6 @@ def identity(dim: int) -> BoolMatrix:
     return BoolMatrix(dim, tuple(1 << i for i in range(dim)))
 
 
-def set_default_method(name: str) -> None:
-    """Select the multiplier used when mul() is called without a method."""
-    global _default_method
-    if name not in _METHODS:
-        raise ValueError(f"unknown multiplier {name!r}, expected one of {_METHODS}")
-    _default_method = name
-
-
 def mul_calls() -> int:
     """Number of boolean matrix multiplications since the last reset."""
     return _mul_calls
@@ -66,18 +57,17 @@ def reset_mul_calls() -> None:
     _mul_calls = 0
 
 
-def mul(a: BoolMatrix, b: BoolMatrix, method: str | None = None) -> BoolMatrix:
+def mul(a: BoolMatrix, b: BoolMatrix, method: str = "packed") -> BoolMatrix:
     """Boolean product: entry (i,j) = OR over k of a(i,k) AND b(k,j)."""
     global _mul_calls
     if a.dim != b.dim:
         raise DimensionMismatchError(
             f"cannot multiply {a.dim}x{a.dim} by {b.dim}x{b.dim}"
         )
-    chosen = _default_method if method is None else method
-    if chosen not in _METHODS:
-        raise ValueError(f"unknown multiplier {chosen!r}, expected one of {_METHODS}")
+    if method not in _METHODS:
+        raise ValueError(f"unknown multiplier {method!r}, expected one of {_METHODS}")
     _mul_calls += 1
-    if chosen == "packed":
+    if method == "packed":
         rows = _mul_rows_packed(a.rows, b.rows, a.dim)
     else:
         rows = _mul_rows_naive(a.rows, b.rows, a.dim)
@@ -115,6 +105,7 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
     _check_exponent(e)
     if row < 0 or row >> a.dim:
         raise ValueError(f"row has bits outside columns 0..{a.dim - 1}")
+    nbytes = (a.dim + 7) >> 3
     square = a
     squares = []  # rows of a**(2**j) for j = 0, 1, ... until one repeats
     first_index = {}  # keyed on the rows themselves, so a repeat is exact
@@ -132,32 +123,34 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
                 squares.append(square.rows)
         rows = squares[start + (j - start) % period] if period else squares[j]
         if e >> j & 1:
-            row = _mul_rows_packed((row,), rows, a.dim)[0]
+            row = _row_times(row, rows, nbytes)
     return row
 
 
+def _row_times(row, brows, nbytes):
+    # row vector times matrix: OR of brows[k] over the set bits k of row,
+    # nbytes = ceil(dim / 8); sparse rows walk their set bits, dense rows
+    # scan bytes instead
+    acc = 0
+    if row.bit_count() <= 64:
+        while row:
+            low = row & -row
+            acc |= brows[low.bit_length() - 1]
+            row ^= low
+    else:
+        byte_bits = _BYTE_BITS  # local: looked up once per nonzero byte
+        for byte_index, byte in enumerate(row.to_bytes(nbytes, "little")):
+            if byte:
+                base = byte_index << 3
+                for k in byte_bits[byte]:
+                    acc |= brows[base + k]
+    return acc
+
+
 def _mul_rows_packed(arows, brows, dim):
-    # result row i = OR of b's rows k over the set bits k of a's row i;
-    # sparse rows walk their set bits, dense rows scan bytes instead
+    # result row i = row i of a times b
     nbytes = (dim + 7) >> 3
-    out = []
-    for row in arows:
-        acc = 0
-        if row:
-            if row.bit_count() <= 64:
-                bits = row
-                while bits:
-                    low = bits & -bits
-                    acc |= brows[low.bit_length() - 1]
-                    bits ^= low
-            else:
-                for byte_index, byte in enumerate(row.to_bytes(nbytes, "little")):
-                    if byte:
-                        base = byte_index << 3
-                        for k in _BYTE_BITS[byte]:
-                            acc |= brows[base + k]
-        out.append(acc)
-    return out
+    return [_row_times(row, brows, nbytes) if row else 0 for row in arows]
 
 
 def _mul_rows_naive(arows, brows, dim):

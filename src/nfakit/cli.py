@@ -13,8 +13,9 @@ come first (in any order, each exactly once), followed by one
 followed by m undirected edge lines "<u> <v>". Orthogonal-vectors files
 start with "<n> <d>" followed by n lines "v <bits>" and then n lines
 "w <bits>", each bitstring of length d. Numbers are ASCII decimal digits.
-An NFA file may declare at most MAX_STATES states and a graph file at most
-MAX_STATES // 4 vertices.
+An NFA file may declare at most MAX_STATES states, a graph file at most
+MAX_STATES // 4 vertices, and a vectors file only an n and d whose OV
+reduction has at most MAX_STATES states.
 
 Exit codes: 0 positive answer, 1 negative answer or failed validation,
 2 malformed input.
@@ -41,9 +42,10 @@ from .reductions import (
 )
 
 MAX_LENGTH = 1 << 63
-# Most states an input file may ask for: an NFA file's 'states' count, or 4n
-# for an n-vertex graph, as its triangle reduction has 4n states. It is checked
-# at the header line, before any per-state list or matrix row is allocated.
+# Most states an input file may ask for: an NFA file's 'states' count, 4n for
+# an n-vertex graph, as its triangle reduction has 4n states, or the states of
+# an OV file's reduction. It is checked at the header line, before any
+# per-state list or matrix row is allocated.
 MAX_STATES = 1 << 16
 
 
@@ -215,6 +217,12 @@ def parse_ov(text: str, source: str | None = None) -> OvInstance:
     d = _int_token(tokens[1], "dimension", line, source)
     if n < 1 or d < 1:
         raise ParseError(f"need n >= 1 and d >= 1, got n={n}, d={d}", line, source)
+    # reduce_ov builds two paths of (n-1)(d+2)+1 states, n gadgets of d, x and y
+    states = 2 * ((n - 1) * (d + 2) + 1) + n * d + 2
+    if states > MAX_STATES:
+        raise ParseError(
+            f"n={n}, d={d} reduces to {states} states, more than {MAX_STATES}", line, source
+        )
     if len(lines) - 1 != 2 * n:
         raise ParseError(f"expected {2 * n} vector lines, found {len(lines) - 1}", None, source)
     sides: dict[str, list[tuple[int, ...]]] = {"v": [], "w": []}
@@ -321,35 +329,41 @@ def cmd_triangle_check(args) -> int:
     return 0 if found else 1
 
 
-def _median_time(fn, repetitions: int):
-    times = []
-    result = None
+def _median_times(fns, repetitions: int):
+    # the repetitions of fns alternate, so a drift in host speed during the
+    # run shifts every median alike; returns (median time, last result) pairs
+    times = [[] for _ in fns]
+    results = [None] * len(fns)
     for _ in range(repetitions):
-        begin = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - begin)
-    return statistics.median(times), result
+        for index, fn in enumerate(fns):
+            begin = time.perf_counter()
+            results[index] = fn()
+            times[index].append(time.perf_counter() - begin)
+    return [(statistics.median(t), result) for t, result in zip(times, results)]
 
 
 def cmd_bench(args) -> int:
     sizes = [_int_token(token, "size") for token in args.sizes.split(",")]
     if any(n < 1 for n in sizes):
         raise ParseError("sizes must be positive")
-    if args.trials < 1:
-        raise ParseError(f"trials must be >= 1, got {args.trials}")
+    seed = _int_token(args.seed, "seed")
+    trials = _int_token(args.trials, "trials")
+    if trials < 1:
+        raise ParseError(f"trials must be >= 1, got {trials}")
     print(
         "# layered-forward unary acyclic NFAs, expected out-degree 2, "
-        f"base seed {args.seed}, trials {args.trials}"
+        f"base seed {seed}, trials {trials}"
     )
     print("n,seed,naive_time,fast_time,multiplications_used,agreement")
     for n in sizes:
-        for trial in range(args.trials):
-            instance_seed = (args.seed * 1000003 + n * 1009 + trial) & 0x7FFFFFFF
+        for trial in range(trials):
+            instance_seed = (seed * 1000003 + n * 1009 + trial) & 0x7FFFFFFF
             nfa = random_layered_nfa(n, instance_seed)
             repetitions = 5 if n <= 512 else 3
-            naive_time, naive_result = _median_time(lambda: enumerate_naive(nfa), repetitions)
             before = mul_calls()
-            fast_time, fast_result = _median_time(lambda: enumerate_fast(nfa), repetitions)
+            (naive_time, naive_result), (fast_time, fast_result) = _median_times(
+                (lambda: enumerate_naive(nfa), lambda: enumerate_fast(nfa)), repetitions
+            )
             multiplications = (mul_calls() - before) // repetitions
             agreement = naive_result == fast_result
             print(
@@ -402,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time naive vs fast enumeration on seeded inputs")
     p.add_argument("--sizes", default="64,128,256")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--seed", default="42")
+    p.add_argument("--trials", default="1")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -164,6 +164,31 @@ def test_simulate_agrees_with_accepts_length_on_unary_nfas():
             assert simulate(nfa, "a" * ell) == accepts_length(nfa, ell)
 
 
+def test_simulate_matches_set_frontier_on_dense_nfas():
+    # frontiers of more than 64 states take the byte-scan path of the row kernel
+    rng = seeded(35)
+    widest = 0
+    for _ in range(12):
+        n = rng.randint(200, 300)
+        successors = {ch: [set() for _ in range(n)] for ch in "ab"}
+        for q in range(n):
+            for ch in "ab":
+                fanout = rng.choice((0, 1, 1, 1, 1, 2, 2, 3, 40))
+                successors[ch][q].update(rng.sample(range(n), fanout))
+        transitions = {(q, ch, dst) for ch in "ab" for q in range(n) for dst in successors[ch][q]}
+        finals = frozenset(rng.sample(range(n), rng.randint(1, 4)))
+        nfa = Nfa(n, ("a", "b"), rng.randrange(n), finals, frozenset(transitions))
+        for _ in range(10):
+            word = "".join(rng.choice("ab") for _ in range(rng.randint(0, 30)))
+            frontier = {nfa.start}
+            for end in range(len(word) + 1):
+                if end:
+                    frontier = {dst for q in frontier for dst in successors[word[end - 1]][q]}
+                    widest = max(widest, len(frontier))
+                assert simulate(nfa, word[:end]) == bool(frontier & finals)
+    assert widest > 64
+
+
 # ---------------------------------------------------------------------------
 # enumerate_naive
 

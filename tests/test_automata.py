@@ -6,6 +6,7 @@ from nfakit import (
     Nfa,
     adjacency_matrix,
     enumerate_naive,
+    power,
     reduce_triangle,
     simulate,
     trim,
@@ -205,3 +206,28 @@ def test_acyclic_bounds_accepted_lengths():
         assert validate(nfa).acyclic
         lengths = enumerate_naive(nfa)
         assert all(0 <= ell <= nfa.state_count - 1 for ell in lengths)
+
+
+def test_acyclic_iff_adjacency_power_vanishes():
+    # an n-state NFA has a walk of length n iff it has a cycle
+    from nfakit.cli import random_layered_nfa
+
+    rng = seeded(24)
+    cases = [random_nfa(rng, max_states=10, max_out=rng.choice((1, 2))) for _ in range(300)]
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        order = rng.sample(range(n), n)
+        transitions = {
+            (order[i], rng.choice("ab"), order[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < 0.3
+        }
+        cases.append(Nfa(n, ("a", "b"), order[0], frozenset(), frozenset(transitions)))
+    cases.extend(random_layered_nfa(rng.randint(1, 40), 600 + t) for t in range(100))
+    verdicts = []
+    for nfa in cases:
+        vanishes = not any(power(adjacency_matrix(nfa), nfa.state_count).rows)
+        assert validate(nfa).acyclic == vanishes
+        verdicts.append(vanishes)
+    assert verdicts.count(False) >= 100 and verdicts.count(True) >= 200

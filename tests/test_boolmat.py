@@ -9,7 +9,6 @@ from nfakit.boolmat import (
     power,
     reset_mul_calls,
     row_times_power,
-    set_default_method,
 )
 
 from conftest import seeded
@@ -74,17 +73,6 @@ def test_mul_dimension_mismatch():
 def test_mul_unknown_method():
     with pytest.raises(ValueError):
         mul(identity(2), identity(2), method="blas")
-
-
-def test_default_method_is_configurable():
-    a = BoolMatrix(2, (0b10, 0b01))
-    set_default_method("naive")
-    try:
-        assert mul(a, a) == mul(a, a, method="packed")
-    finally:
-        set_default_method("packed")
-    with pytest.raises(ValueError):
-        set_default_method("fancy")
 
 
 def test_power_zero_is_identity():

@@ -205,6 +205,30 @@ def test_state_cap_is_checked_at_the_header(tmp_path, capsys):
         assert f"line {line}: " in capsys.readouterr().err
 
 
+def test_ov_state_cap_is_checked_at_the_header(tmp_path, capsys):
+    # the reduction of n vectors of dimension d has 3nd + 4n - 2d states
+    text = "150 150\n" + "v " + "0" * 150 + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_ov(text)
+    assert err.value.line == 1
+    path = write(tmp_path, "huge.ov", text)
+    assert main(["reduce-ov", path, str(tmp_path / "huge.nfa")]) == 2
+    assert "line 1: " in capsys.readouterr().err
+    assert not (tmp_path / "huge.nfa").exists()
+    for d in (MAX_STATES - 4, MAX_STATES - 5):
+        sides = "".join(f"{side} {'0' * d}\n" for side in "vw")
+        assert reduce_ov(parse_ov(f"1 {d}\n{sides}")).nfa.state_count == d + 4
+    with pytest.raises(ParseError) as err:
+        parse_ov(f"1 {MAX_STATES - 3}\n")
+    assert err.value.line == 1
+    d = 16382  # n = 2 at exactly MAX_STATES, through the command and back
+    vectors = write(tmp_path, "cap.ov", f"2 {d}\n" + "".join(f"{s} {'1' * d}\n" for s in "vvww"))
+    out = tmp_path / "cap.nfa"
+    assert main(["reduce-ov", vectors, str(out)]) == 0
+    capsys.readouterr()
+    assert parse_nfa(out.read_text()).state_count == MAX_STATES
+
+
 def test_reduce_triangle_writes_parseable_file(tmp_path, capsys):
     graph = write(tmp_path, "c4.graph", C4_GRAPH)
     out_nfa = str(tmp_path / "c4.nfa")
@@ -393,7 +417,14 @@ def test_bench_rejects_bad_sizes(capsys):
 
 
 def test_bench_rejects_non_decimal_sizes_and_zero_trials(capsys):
-    for argv in (["--sizes", "1_6"], ["--sizes", "١٦"], ["--sizes", "8", "--trials", "0"]):
+    for argv in (
+        ["--sizes", "1_6"],
+        ["--sizes", "١٦"],
+        ["--sizes", "8", "--trials", "0"],
+        ["--sizes", "4", "--trials", "+2"],
+        ["--sizes", "4", "--seed", "1_0"],
+        ["--sizes", "4", "--trials", "٢"],
+    ):
         assert main(["bench", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -17,3 +17,15 @@ def test_package_source_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_source_keeps_no_global_state_but_the_product_counter():
+    found = [
+        f"{path.name}:{node.lineno}:{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Global)
+        for name in node.names
+        if (path.name, name) != ("boolmat.py", "_mul_calls")
+    ]
+    assert found == []
