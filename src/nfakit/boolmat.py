@@ -127,30 +127,47 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
     return row
 
 
-def _row_times(row, brows, nbytes):
+def _row_times(row, brows, nbytes, tables=None):
     # row vector times matrix: OR of brows[k] over the set bits k of row,
-    # nbytes = ceil(dim / 8); sparse rows walk their set bits, dense rows
-    # scan bytes instead
+    # nbytes = ceil(dim / 8); sparse rows walk their set bits. Dense rows go
+    # byte by byte: given the tables of a product (see _mul_rows_packed) they
+    # OR one entry per nonzero byte, else the rows of the byte's set bits
     acc = 0
     if row.bit_count() <= 64:
         while row:
             low = row & -row
             acc |= brows[low.bit_length() - 1]
             row ^= low
-    else:
+    elif tables is None:
         byte_bits = _BYTE_BITS  # local: looked up once per nonzero byte
         for byte_index, byte in enumerate(row.to_bytes(nbytes, "little")):
             if byte:
                 base = byte_index << 3
                 for k in byte_bits[byte]:
                     acc |= brows[base + k]
+    else:
+        for group, byte in enumerate(row.to_bytes(nbytes, "little")):
+            if byte:
+                table = tables[group]
+                if table is None:
+                    table = tables[group] = [None] * 256
+                entry = table[byte]
+                if entry is None:  # first use: bit walk over the byte's rows of b
+                    base = group << 3
+                    entry = table[byte] = _row_times(byte, brows[base : base + 8], 1)
+                acc |= entry
     return acc
 
 
 def _mul_rows_packed(arows, brows, dim):
-    # result row i = row i of a times b
+    # result row i = row i of a times b. The dense rows of a share one set of
+    # Four Russians tables: tables[g][byte] is the OR of the rows 8g + k of b
+    # over the set bits k of byte, made on first use. The tables go with the
+    # product; a lone vector (simulate, row_times_power) would refill them
+    # for every step, so it keeps the byte scan
     nbytes = (dim + 7) >> 3
-    return [_row_times(row, brows, nbytes) if row else 0 for row in arows]
+    tables = [None] * nbytes
+    return [_row_times(row, brows, nbytes, tables) if row else 0 for row in arows]
 
 
 def _mul_rows_naive(arows, brows, dim):

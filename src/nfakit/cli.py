@@ -12,10 +12,11 @@ come first (in any order, each exactly once), followed by one
 "<from> <sym> <to>" line per transition. Graph files start with "<n> <m>"
 followed by m undirected edge lines "<u> <v>". Orthogonal-vectors files
 start with "<n> <d>" followed by n lines "v <bits>" and then n lines
-"w <bits>", each bitstring of length d. Numbers are ASCII decimal digits.
+"w <bits>", each bitstring of length d. Files are UTF-8 text and numbers
+are ASCII decimal digits.
 An NFA file may declare at most MAX_STATES states, a graph file at most
 MAX_STATES // 4 vertices, and a vectors file only an n and d whose OV
-reduction has at most MAX_STATES states.
+reduction has at most MAX_STATES states. Bench sizes have the same cap.
 
 Exit codes: 0 positive answer, 1 negative answer or failed validation,
 2 malformed input.
@@ -254,8 +255,15 @@ def random_layered_nfa(n: int, seed: int) -> Nfa:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; a character appended to them
+        # lands on the bad byte's line
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line, path) from None
 
 
 def _load_nfa(path: str) -> Nfa:
@@ -344,8 +352,9 @@ def _median_times(fns, repetitions: int):
 
 def cmd_bench(args) -> int:
     sizes = [_int_token(token, "size") for token in args.sizes.split(",")]
-    if any(n < 1 for n in sizes):
-        raise ParseError("sizes must be positive")
+    for n in sizes:
+        if not 1 <= n <= MAX_STATES:
+            raise ParseError(f"size must be in 1..{MAX_STATES}, got {n}")
     seed = _int_token(args.seed, "seed")
     trials = _int_token(args.trials, "trials")
     if trials < 1:

@@ -65,6 +65,65 @@ def test_mul_matches_scalar_reference():
         assert mul(a, b, method="packed") == mul(a, b, method="naive")
 
 
+def per_bit_product(arows, brows):
+    # row i of a times b by the definition: OR of b's row k per set bit k
+    out = []
+    for row in arows:
+        acc = 0
+        for k, brow in enumerate(brows):
+            if row >> k & 1:
+                acc |= brow
+        out.append(acc)
+    return out
+
+
+def mixed_matrix(rng, dim):
+    """Zero rows, rows with 1..64 set bits, rows with more than 64 set bits,
+    rows of one repeated byte and copies of earlier rows, all in one matrix."""
+    full = (1 << dim) - 1
+    rows = []
+    for i in range(dim):
+        kind = rng.randrange(5)
+        if kind == 0:
+            row = 0
+        elif kind == 1:
+            row = sum(1 << k for k in rng.sample(range(dim), rng.randint(1, 64)))
+        elif kind == 2:
+            row = full
+            for k in rng.sample(range(dim), rng.randint(0, dim - 65)):
+                row &= ~(1 << k)
+        elif kind == 3:
+            byte = rng.choice((0xFF, 0xEF, 0x7E, 0xB7, 0x01))
+            row = int.from_bytes(bytes([byte]) * (dim // 8 + 1), "little") & full
+        else:
+            row = rows[rng.randrange(i)] if i else full
+        rows.append(row)
+    return BoolMatrix(dim, tuple(rows))
+
+
+def test_mul_matches_per_bit_reference_on_dense_rows():
+    # dims that are not multiples of 8 leave the last byte group partial;
+    # dense rows sharing bytes reuse the product's table entries
+    rng = seeded(112)
+    for dim in (65, 72, 97, 130, 203):
+        for _ in range(3):
+            a = mixed_matrix(rng, dim)
+            b = rng.choice((mixed_matrix, random_matrix))(rng, dim)
+            counts = [row.bit_count() for row in a.rows]
+            assert 0 in counts and any(0 < c <= 64 for c in counts)
+            dense = [row for row in a.rows if row.bit_count() > 64]
+            nbytes = (dim + 7) // 8
+            groups = [
+                (g, byte)
+                for row in dense
+                for g, byte in enumerate(row.to_bytes(nbytes, "little"))
+                if byte
+            ]
+            assert len(set(groups)) < len(groups)
+            assert mul(a, b).rows == tuple(per_bit_product(a.rows, b.rows))
+            assert mul(a, a).rows == tuple(per_bit_product(a.rows, a.rows))
+
+
 def test_mul_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         mul(identity(2), identity(3))

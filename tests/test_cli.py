@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from nfakit import Graph, Nfa, OvInstance, ov_brute, reduce_ov, reduce_triangle
+from nfakit import Graph, Nfa, OvInstance, cli, ov_brute, reduce_ov, reduce_triangle
 from nfakit.cli import (
     MAX_STATES,
     ParseError,
@@ -229,6 +229,25 @@ def test_ov_state_cap_is_checked_at_the_header(tmp_path, capsys):
     assert parse_nfa(out.read_text()).state_count == MAX_STATES
 
 
+def test_files_that_are_not_utf8_exit_2_naming_the_line(tmp_path, capsys):
+    out = str(tmp_path / "out.nfa")
+    cases = (
+        ("validate", b"states 1\xff\nalphabet a\nstart 0\nfinal 0\n", 1),
+        ("validate", b"states 2\r\nalphabet a\r\nstart 0\r\nfinal 1\r\n0 a \xc3\n", 5),
+        ("triangle-check", b"3 3\n0 1\n1 2\n\xe9 2\n", 4),
+        ("reduce-ov", b"1 1\n\nv 1\nw \x80\n", 4),
+    )
+    for command, data, line in cases:
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        argv = [command, str(path)] + ([out] if command == "reduce-ov" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: line {line}: not UTF-8 text")
+    assert not (tmp_path / "out.nfa").exists()
+
+
 def test_reduce_triangle_writes_parseable_file(tmp_path, capsys):
     graph = write(tmp_path, "c4.graph", C4_GRAPH)
     out_nfa = str(tmp_path / "c4.nfa")
@@ -414,6 +433,18 @@ def test_bench_rejects_bad_sizes(capsys):
     assert main(["bench", "--sizes", "0"]) == 2
     assert main(["bench", "--sizes", "abc"]) == 2
     capsys.readouterr()
+
+
+def test_bench_sizes_are_capped_before_any_nfa_is_built(monkeypatch, capsys):
+    def refuse(n, seed):
+        raise AssertionError(f"built a {n}-state NFA")
+
+    monkeypatch.setattr(cli, "random_layered_nfa", refuse)
+    for sizes in (f"{MAX_STATES + 1}", f"8,{MAX_STATES + 1}", "1" + "0" * 30):
+        assert main(["bench", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: size must be in 1..{MAX_STATES}, got ")
 
 
 def test_bench_rejects_non_decimal_sizes_and_zero_trials(capsys):

@@ -29,3 +29,29 @@ def test_package_source_keeps_no_global_state_but_the_product_counter():
         if (path.name, name) != ("boolmat.py", "_mul_calls")
     ]
     assert found == []
+
+
+def test_package_source_has_no_functools_caches():
+    # a functools cache is process-global state that needs no `global`
+    # statement: it holds arguments and results alive between calls
+    caches = {"cache", "lru_cache"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "functools"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names if alias.name in caches]
+            elif isinstance(node, ast.Attribute) and node.attr in caches:
+                is_functools = isinstance(node.value, ast.Name) and node.value.id in modules
+                names = [node.attr] if is_functools else []
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno}:{name}" for name in names)
+    assert found == []
