@@ -3,7 +3,7 @@ and the quadratic-per-step baseline enumeration for unary acyclic NFAs."""
 
 from __future__ import annotations
 
-from .automata import Nfa, adjacency_matrix, finals_mask, require_unary_acyclic
+from .automata import Nfa, _successor_rows, adjacency_matrix, finals_mask, require_unary_acyclic
 from .boolmat import _row_times, row_times_power
 
 Word = str
@@ -26,13 +26,10 @@ def accepts_length(nfa: Nfa, length: int) -> bool:
 
 def simulate(nfa: Nfa, word: Word) -> bool:
     """Frontier simulation: track the set of states after each symbol."""
-    known = set(nfa.alphabet)
-    for ch in word:
-        if ch not in known:
+    successors = _successor_rows(nfa)
+    for ch in word:  # all of it, before a step can end the run early
+        if ch not in successors:
             raise SymbolNotInAlphabetError(f"symbol {ch!r} not in alphabet")
-    successors = {ch: [0] * nfa.state_count for ch in nfa.alphabet}
-    for src, sym, dst in nfa.transitions:
-        successors[sym][src] |= 1 << dst
     nbytes = (nfa.state_count + 7) >> 3
     frontier = 1 << nfa.start
     for ch in word:

@@ -8,6 +8,7 @@ All values are immutable after construction; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable
 
 from .boolmat import BoolMatrix
@@ -52,30 +53,30 @@ class Nfa:
         object.__setattr__(self, "alphabet", tuple(self.alphabet))
         object.__setattr__(self, "finals", frozenset(self.finals))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
-        if self.state_count < 1:
-            raise ValueError(f"state_count must be >= 1, got {self.state_count}")
+        n = self.state_count
+        if not isinstance(n, int):
+            raise ValueError(f"state_count must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError(f"state_count must be >= 1, got {n}")
         for ch in self.alphabet:
             if not _is_symbol(ch):
                 raise ValueError(f"invalid alphabet symbol {ch!r}")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        symbols = set(self.alphabet)
+        if len(symbols) != len(self.alphabet):
             raise ValueError("alphabet contains duplicate symbols")
-        if not self._in_range(self.start):
+        if not (isinstance(self.start, int) and 0 <= self.start < n):
             raise ValueError(f"start state {self.start} out of range")
         for q in self.finals:
-            if not self._in_range(q):
+            if not (isinstance(q, int) and 0 <= q < n):
                 raise ValueError(f"final state {q} out of range")
-        symbols = set(self.alphabet)
         for triple in self.transitions:
             if not (isinstance(triple, tuple) and len(triple) == 3):
                 raise ValueError(f"malformed transition {triple!r}")
-            src, sym, dst = triple
-            if not (self._in_range(src) and self._in_range(dst)):
+            p, sym, q = triple
+            if not (isinstance(p, int) and isinstance(q, int) and 0 <= p < n and 0 <= q < n):
                 raise ValueError(f"transition {triple!r} uses an out-of-range state")
             if sym not in symbols:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-
-    def _in_range(self, q) -> bool:
-        return isinstance(q, int) and 0 <= q < self.state_count
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if not isinstance(self.vertex_count, int):
+            raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}")
         if self.vertex_count < 1:
             raise ValueError(f"vertex_count must be >= 1, got {self.vertex_count}")
         normalized = set()
@@ -196,11 +199,23 @@ def trim(nfa: Nfa) -> Nfa:
     return Nfa(len(keep), nfa.alphabet, remap[nfa.start], finals, transitions)
 
 
+def _successor_rows(nfa: Nfa) -> dict[Symbol, list[int]]:
+    """Bit q of rows[sym][p] is set iff p -sym-> q: the one encoder of
+    transitions into bit rows. Built per call and never stored, as a
+    chain's rows take n(n-1)/2 bits, 256 MiB at 65536 states."""
+    rows = {sym: [0] * nfa.state_count for sym in nfa.alphabet}
+    for src, sym, dst in nfa.transitions:
+        rows[sym][src] |= 1 << dst
+    return rows
+
+
 def adjacency_matrix(nfa: Nfa) -> BoolMatrix:
     """Bit (i, j) set iff some transition i -> j exists on any symbol."""
-    rows = [0] * nfa.state_count
-    for src, _sym, dst in nfa.transitions:
-        rows[src] |= 1 << dst
+    per_symbol = list(_successor_rows(nfa).values())
+    # one letter: its rows are the matrix's, used as they are
+    rows = per_symbol[0] if per_symbol else [0] * nfa.state_count
+    for more in per_symbol[1:]:
+        rows = list(map(or_, rows, more))
     return BoolMatrix(nfa.state_count, tuple(rows))
 
 

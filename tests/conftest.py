@@ -9,6 +9,15 @@ import pytest
 
 from nfakit import Graph, Nfa
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, so the suite stays deterministic
+    settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
+    settings.load_profile("derandomized")
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 

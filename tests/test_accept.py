@@ -116,6 +116,9 @@ def test_chain_accepts_exactly_its_length():
 def test_simulate_rejects_foreign_symbols():
     with pytest.raises(SymbolNotInAlphabetError):
         simulate(chain_nfa(2, {1}), "ab")
+    with pytest.raises(SymbolNotInAlphabetError):
+        # the frontier dies before the foreign symbol is reached
+        simulate(chain_nfa(2, {1}), "aab")
 
 
 def path_search(nfa, word):

@@ -1,17 +1,22 @@
+import tracemalloc
+
 import pytest
 
 from nfakit import (
     EmptyLanguageError,
     Graph,
     Nfa,
+    OvInstance,
     adjacency_matrix,
     enumerate_naive,
     power,
+    reduce_ov,
     reduce_triangle,
     simulate,
     trim,
     validate,
 )
+from nfakit.cli import MAX_STATES, serialize_nfa
 
 from conftest import random_nfa, seeded
 
@@ -39,6 +44,8 @@ def all_words(alphabet, max_len):
 def test_rejects_bad_state_count():
     with pytest.raises(ValueError):
         Nfa(0, ("a",), 0, frozenset(), frozenset())
+    with pytest.raises(ValueError):
+        Nfa(2.0, ("a",), 0, frozenset(), frozenset())
 
 
 def test_rejects_bad_alphabet():
@@ -72,6 +79,8 @@ def test_duplicate_triples_collapse():
 def test_graph_rejects_self_loop_and_range():
     with pytest.raises(ValueError):
         Graph(3, frozenset({(1, 1)}))
+    with pytest.raises(ValueError):
+        Graph(2.0, frozenset())
     with pytest.raises(ValueError):
         Graph(3, frozenset({(0, 3)}))
     g = Graph(3, frozenset({(2, 0)}))
@@ -231,3 +240,27 @@ def test_acyclic_iff_adjacency_power_vanishes():
         assert validate(nfa).acyclic == vanishes
         verdicts.append(vanishes)
     assert verdicts.count(False) >= 100 and verdicts.count(True) >= 200
+
+
+def test_no_path_keeps_the_bit_rows_of_a_large_automaton():
+    # a chain's bit rows take n(n-1)/2 bits, 256 MiB at MAX_STATES, so rows
+    # kept on Nfa, or built by validate, serialize_nfa or reduce_ov, would
+    # take these peaks far past the limit
+    limit = 64 << 20
+    n = MAX_STATES
+    tracemalloc.start()
+    try:
+        chain = chain_nfa(n, {n - 1})
+        validate(chain)
+        serialize_nfa(chain)
+        del chain
+        chain_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        d = 16382  # n = 2 reduces to exactly MAX_STATES states
+        reduction = reduce_ov(OvInstance(2, d, ((0,) * d, (1,) * d), ((1,) * d, (0,) * d)))
+        ov_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduction.nfa.state_count == MAX_STATES
+    assert chain_peak < limit
+    assert ov_peak < limit

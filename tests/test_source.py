@@ -55,3 +55,16 @@ def test_package_source_has_no_functools_caches():
                 continue
             found.extend(f"{path.name}:{node.lineno}:{name}" for name in names)
     assert found == []
+
+
+def test_only_automata_and_cli_read_transitions():
+    # automata._successor_rows is the one encoder of transitions into bit
+    # rows; the other engines take their rows from it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name not in ("automata.py", "cli.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "transitions"
+    ]
+    assert found == []
