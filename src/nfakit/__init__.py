@@ -29,7 +29,7 @@ from .boolmat import (
     reset_mul_calls,
     row_times_power,
 )
-from .enumeration import PaddedNfa, enumerate_fast, pad_with_chain
+from .enumeration import enumerate_fast, pad_with_chain
 from .reductions import (
     OvInstance,
     OvReduction,
@@ -53,7 +53,6 @@ __all__ = [
     "NotUnaryError",
     "OvInstance",
     "OvReduction",
-    "PaddedNfa",
     "SymbolNotInAlphabetError",
     "TriangleReduction",
     "ValidationReport",

@@ -91,13 +91,14 @@ class Graph:
             raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}")
         if self.vertex_count < 1:
             raise ValueError(f"vertex_count must be >= 1, got {self.vertex_count}")
+        n = self.vertex_count
         normalized = set()
         for edge in self.edges:
             u, v = edge
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"edge {edge!r} uses an out-of-range vertex")
+            if not all(isinstance(x, int) and 0 <= x < n for x in edge):
+                raise ValueError(f"edge {edge!r} needs integer vertices in 0..{n - 1}")
             normalized.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(normalized))
 

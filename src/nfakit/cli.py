@@ -29,6 +29,7 @@ import random
 import statistics
 import sys
 import time
+from dataclasses import fields
 
 from .accept import SymbolNotInAlphabetError, accepts_length, enumerate_naive, simulate
 from .automata import Graph, Nfa, NotAcyclicError, NotUnaryError, validate
@@ -272,12 +273,7 @@ def _load_nfa(path: str) -> Nfa:
 
 def cmd_validate(args) -> int:
     report = validate(_load_nfa(args.nfa))
-    flags = [
-        ("initially_connected", report.initially_connected),
-        ("coaccessible", report.coaccessible),
-        ("acyclic", report.acyclic),
-        ("unary", report.unary),
-    ]
+    flags = [(field.name, getattr(report, field.name)) for field in fields(report)]
     for name, value in flags:
         print(f"{name}: {str(value).lower()}")
     return 0 if all(value for _, value in flags) else 1
@@ -436,12 +432,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, SymbolNotInAlphabetError) as exc:
+    except (ParseError, OSError, SymbolNotInAlphabetError, NotUnaryError, NotAcyclicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotUnaryError, NotAcyclicError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (NotUnaryError, NotAcyclicError)) else 2
 
 
 if __name__ == "__main__":

@@ -45,8 +45,8 @@ class OvInstance:
     w: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
+        if not all(isinstance(x, int) and x >= 1 for x in (self.n, self.d)):
+            raise ValueError(f"need integers n, d >= 1, got n={self.n!r}, d={self.d!r}")
         object.__setattr__(self, "v", tuple(tuple(vec) for vec in self.v))
         object.__setattr__(self, "w", tuple(tuple(vec) for vec in self.w))
         for name, side in (("v", self.v), ("w", self.w)):

@@ -1,7 +1,9 @@
 import random
+import weakref
 
 import pytest
 
+import nfakit.enumeration
 from nfakit import (
     Nfa,
     NotAcyclicError,
@@ -26,53 +28,51 @@ def chain_nfa(n, finals):
 # pad_with_chain
 
 
+def successors(row):
+    return [j for j in range(row.bit_length()) if row >> j & 1]
+
+
 def test_pad_smallest_case():
-    padded = pad_with_chain(Nfa(1, ("a",), 0, frozenset({0}), frozenset()))
-    assert padded.k == 0
-    assert padded.chain_offset == 1
-    assert padded.nfa.state_count == 2
-    assert padded.nfa.start == 1
-    assert padded.nfa.transitions == frozenset({(1, "a", 0)})
+    m = pad_with_chain(Nfa(1, ("a",), 0, frozenset({0}), frozenset()))
+    assert m.dim == 2
+    assert m.rows == (0, 1 << 0)
 
 
 def test_pad_rounds_up_to_power_of_two():
-    padded = pad_with_chain(chain_nfa(5, {4}))
-    assert padded.k == 3
-    assert padded.nfa.state_count == 13
-    assert padded.original_count == 5
+    m = pad_with_chain(chain_nfa(5, {4}))
+    assert m.dim == 5 + 8
 
 
 def test_pad_exact_power_of_two_boundary():
-    padded = pad_with_chain(chain_nfa(8, {7}))
-    assert padded.k == 3
-    assert padded.nfa.state_count == 16
+    m = pad_with_chain(chain_nfa(8, {7}))
+    assert m.dim == 8 + 8
 
 
 def test_pad_touches_chain_states_only_as_a_path():
     nfa = random_layered_nfa(11, 77)
-    padded = pad_with_chain(nfa)
-    n, chain = padded.chain_offset, 1 << padded.k
-    incident = [t for t in padded.nfa.transitions if t[0] >= n or t[2] >= n]
-    expected = [(n + i, "a", n + i + 1) for i in range(chain - 1)]
-    expected.append((n + chain - 1, "a", nfa.start))
+    m = pad_with_chain(nfa)
+    n, chain = nfa.state_count, 16
+    assert m.dim == n + chain
+    incident = [
+        (i, j) for i, row in enumerate(m.rows) for j in successors(row) if i >= n or j >= n
+    ]
+    expected = [(n + i, n + i + 1) for i in range(chain - 1)]
+    expected.append((n + chain - 1, nfa.start))
     assert sorted(incident) == sorted(expected)
-    assert padded.nfa.finals == nfa.finals
-    assert padded.nfa.start == n
 
 
 def test_chain_distance_to_original_start():
     nfa = chain_nfa(6, {5})
-    padded = pad_with_chain(nfa)
-    succ = {}
-    for src, _sym, dst in padded.nfa.transitions:
-        succ.setdefault(src, set()).add(dst)
-    chain = 1 << padded.k
+    m = pad_with_chain(nfa)
+    n = nfa.state_count
+    chain = m.dim - n
+    assert chain == 8
     for i in range(chain):
         # breadth-first walk from chain state i down to the original start
-        frontier = {padded.chain_offset + i}
+        frontier = {n + i}
         steps = 0
         while nfa.start not in frontier:
-            frontier = {d for s in frontier for d in succ.get(s, ())}
+            frontier = {d for s in frontier for d in successors(m.rows[s])}
             steps += 1
             assert steps <= chain
         assert steps == chain - i
@@ -93,13 +93,13 @@ def random_dag_nfa(n, seed):
     return Nfa(n, ("a",), rng.randrange(n), finals, frozenset(transitions))
 
 
-def test_pad_matrix_matches_its_nfa_view():
+def test_pad_keeps_the_automaton_rows():
     for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 40):
         for seed in range(5):
             nfa = random_dag_nfa(n, 1000 * n + seed)
-            padded = pad_with_chain(nfa)
-            assert padded.matrix == adjacency_matrix(padded.nfa)
-            assert padded.matrix.dim == n + (1 << padded.k)
+            m = pad_with_chain(nfa)
+            assert m.rows[:n] == adjacency_matrix(nfa).rows
+            assert m.dim == n + (1 << (n - 1).bit_length())
             mask = finals_mask(nfa)
             assert {q for q in range(n) if mask >> q & 1} == nfa.finals
             assert mask >> n == 0
@@ -136,6 +136,23 @@ def test_fast_uses_exactly_k_squarings():
         before = mul_calls()
         enumerate_fast(nfa)
         assert mul_calls() - before == expected_k
+
+
+def test_fast_frees_each_operand_before_the_next_squaring(monkeypatch):
+    # a live reference to an earlier power would keep its rows in memory
+    # through every later squaring
+    real_mul = nfakit.enumeration.mul
+    operands = []
+
+    def spy(a, b):
+        assert [ref for ref in operands if ref() is not None] == []
+        operands.append(weakref.ref(a))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(nfakit.enumeration, "mul", spy)
+    nfa = random_layered_nfa(33, 33 * 31)
+    assert enumerate_fast(nfa) == enumerate_naive(nfa)
+    assert len(operands) == 6
 
 
 def test_fast_membership_matches_accepts_length():

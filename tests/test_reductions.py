@@ -217,3 +217,5 @@ def test_ov_instance_validation():
         OvInstance(1, 2, ((0, 1),), ((0,),))
     with pytest.raises(ValueError):
         OvInstance(1, 1, ((2,),), ((0,),))
+    with pytest.raises(ValueError):
+        OvInstance(2.0, 1, ((0,), (1,)), ((1,), (0,)))

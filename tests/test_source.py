@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "nfakit"
@@ -68,3 +69,25 @@ def test_only_automata_and_cli_read_transitions():
         if isinstance(node, ast.Attribute) and node.attr == "transitions"
     ]
     assert found == []
+
+
+def test_traced_benchmark_targets_resolve():
+    # the traced benchmark run wraps these module attributes and silently
+    # skips the ones that are missing, losing those layers' metrics
+    spans = SOURCE.parent.parent / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    unresolved = {
+        (module, attribute)
+        for module, attribute, _span in targets
+        if not hasattr(importlib.import_module(module), attribute)
+    }
+    # accept no longer imports boolmat.power: accepts_length squares
+    # through row_times_power
+    assert unresolved <= {("nfakit.accept", "power")}
