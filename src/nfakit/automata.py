@@ -94,6 +94,8 @@ class Graph:
         n = self.vertex_count
         normalized = set()
         for edge in self.edges:
+            if not (isinstance(edge, tuple) and len(edge) == 2):
+                raise ValueError(f"malformed edge {edge!r}")
             u, v = edge
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")

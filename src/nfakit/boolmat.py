@@ -26,15 +26,20 @@ class BoolMatrix:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.dim, int):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.dim:
             raise ValueError(f"expected {self.dim} rows, got {len(self.rows)}")
-        for i, row in enumerate(self.rows):
-            # bits at positions >= dim must stay zero
-            if row < 0 or row >> self.dim:
-                raise ValueError(f"row {i} has bits outside columns 0..{self.dim - 1}")
+        try:
+            for i, row in enumerate(self.rows):
+                # bits at positions >= dim must stay zero
+                if row < 0 or row >> self.dim:
+                    raise ValueError(f"row {i} has bits outside columns 0..{self.dim - 1}")
+        except TypeError:  # a row that is not an integer has no bits to shift
+            raise ValueError(f"row {i} must be an integer, got {row!r}") from None
 
     def get(self, i: int, j: int) -> bool:
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -75,8 +80,8 @@ def mul(a: BoolMatrix, b: BoolMatrix, method: str = "packed") -> BoolMatrix:
 
 
 def _check_exponent(e: int) -> None:
-    if e < 0 or e >> 64:
-        raise ValueError(f"exponent must fit in 64 unsigned bits, got {e}")
+    if not isinstance(e, int) or e < 0 or e >> 64:
+        raise ValueError(f"exponent must be an integer in 0..2^64-1, got {e!r}")
 
 
 def power(a: BoolMatrix, e: int) -> BoolMatrix:
@@ -103,8 +108,8 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
     rest are read from those already made.
     """
     _check_exponent(e)
-    if row < 0 or row >> a.dim:
-        raise ValueError(f"row has bits outside columns 0..{a.dim - 1}")
+    if not isinstance(row, int) or row < 0 or row >> a.dim:
+        raise ValueError(f"row must be an integer with bits in columns 0..{a.dim - 1}")
     nbytes = (a.dim + 7) >> 3
     square = a
     squares = []  # rows of a**(2**j) for j = 0, 1, ... until one repeats

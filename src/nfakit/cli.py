@@ -52,12 +52,13 @@ MAX_STATES = 1 << 16
 
 
 class ParseError(Exception):
-    """Malformed input file; carries the offending line when known."""
+    """Malformed input file; carries the offending line when known, and the
+    file's name once `_load` has attached it."""
 
-    def __init__(self, message: str, line: int | None = None, source: str | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.message = message
         self.line = line
-        self.source = source
+        self.source = None
         super().__init__(message)
 
     def __str__(self) -> str:
@@ -79,91 +80,75 @@ def _content_lines(text: str):
         yield number, stripped.split()
 
 
-def _int_token(token: str, what: str, line: int | None = None, source: str | None = None) -> int:
+def _int_token(token: str, what: str, line: int | None = None) -> int:
     # int() also takes '_', a sign and non-ASCII digits such as '٢';
     # str.isdigit() alone also takes superscripts such as '²'
     if not (token.isascii() and token.isdigit()):
-        raise ParseError(f"{what} must be a decimal integer, got {token!r}", line, source)
+        raise ParseError(f"{what} must be a decimal integer, got {token!r}", line)
     return int(token, 10)
 
 
-def parse_nfa(text: str, source: str | None = None) -> Nfa:
-    state_count = None
-    alphabet: tuple[str, ...] | None = None
-    start = None
-    finals: list[int] | None = None
-    start_line = final_line = None
+_NFA_HEADERS = ("states", "alphabet", "start", "final")
+
+
+def parse_nfa(text: str) -> Nfa:
+    state_count = alphabet = start = finals = None
+    header_lines: dict[str, int] = {}  # header key -> its line number
     transitions = []
-    seen_transition = False
     for line, tokens in _content_lines(text):
         key = tokens[0]
-        if key in ("states", "alphabet", "start", "final"):
-            if seen_transition:
-                raise ParseError(f"header line {key!r} after transitions", line, source)
+        if key in _NFA_HEADERS:
+            if transitions:
+                raise ParseError(f"header line {key!r} after transitions", line)
+            if key in header_lines:
+                raise ParseError(f"duplicate '{key}' line", line)
+            header_lines[key] = line
             if key == "states":
-                if state_count is not None:
-                    raise ParseError("duplicate 'states' line", line, source)
                 if len(tokens) != 2:
-                    raise ParseError("expected 'states <n>'", line, source)
-                state_count = _int_token(tokens[1], "state count", line, source)
+                    raise ParseError("expected 'states <n>'", line)
+                state_count = _int_token(tokens[1], "state count", line)
                 if not 1 <= state_count <= MAX_STATES:
                     raise ParseError(
-                        f"state count must be in 1..{MAX_STATES}, got {state_count}", line, source
+                        f"state count must be in 1..{MAX_STATES}, got {state_count}", line
                     )
             elif key == "alphabet":
-                if alphabet is not None:
-                    raise ParseError("duplicate 'alphabet' line", line, source)
                 for sym in tokens[1:]:
                     if len(sym) != 1 or not sym.isprintable():
-                        raise ParseError(f"invalid symbol {sym!r}", line, source)
+                        raise ParseError(f"invalid symbol {sym!r}", line)
                 if len(set(tokens[1:])) != len(tokens) - 1:
-                    raise ParseError("duplicate alphabet symbol", line, source)
+                    raise ParseError("duplicate alphabet symbol", line)
                 alphabet = tuple(tokens[1:])
             elif key == "start":
-                if start is not None:
-                    raise ParseError("duplicate 'start' line", line, source)
                 if len(tokens) != 2:
-                    raise ParseError("expected 'start <id>'", line, source)
-                start = _int_token(tokens[1], "start state", line, source)
-                start_line = line
+                    raise ParseError("expected 'start <id>'", line)
+                start = _int_token(tokens[1], "start state", line)
             else:
-                if finals is not None:
-                    raise ParseError("duplicate 'final' line", line, source)
-                finals = [_int_token(t, "final state", line, source) for t in tokens[1:]]
-                final_line = line
+                finals = [_int_token(t, "final state", line) for t in tokens[1:]]
         else:
-            if state_count is None or alphabet is None or start is None or finals is None:
-                raise ParseError(
-                    "transition before the states/alphabet/start/final header", line, source
-                )
+            if len(header_lines) < len(_NFA_HEADERS):
+                raise ParseError("transition before the states/alphabet/start/final header", line)
             if len(tokens) != 3:
-                raise ParseError("expected '<from> <sym> <to>'", line, source)
-            src = _int_token(tokens[0], "source state", line, source)
+                raise ParseError("expected '<from> <sym> <to>'", line)
+            src = _int_token(tokens[0], "source state", line)
             sym = tokens[1]
-            dst = _int_token(tokens[2], "target state", line, source)
+            dst = _int_token(tokens[2], "target state", line)
             if sym not in alphabet:
-                raise ParseError(f"transition symbol {sym!r} not in alphabet", line, source)
+                raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
             if not (0 <= src < state_count and 0 <= dst < state_count):
-                raise ParseError("transition state out of range", line, source)
+                raise ParseError("transition state out of range", line)
             transitions.append((src, sym, dst))
-            seen_transition = True
-    for name, value in (
-        ("states", state_count),
-        ("alphabet", alphabet),
-        ("start", start),
-        ("final", finals),
-    ):
-        if value is None:
-            raise ParseError(f"missing '{name}' line", None, source)
+    for key in _NFA_HEADERS:
+        if key not in header_lines:
+            raise ParseError(f"missing '{key}' line")
     if not 0 <= start < state_count:
-        raise ParseError(f"start state {start} out of range", start_line, source)
+        raise ParseError(f"start state {start} out of range", header_lines["start"])
     for q in finals:
         if not 0 <= q < state_count:
-            raise ParseError(f"final state {q} out of range", final_line, source)
+            raise ParseError(f"final state {q} out of range", header_lines["final"])
     try:
         return Nfa(state_count, alphabet, start, frozenset(finals), frozenset(transitions))
     except ValueError as exc:
-        raise ParseError(str(exc), None, source)
+        raise ParseError(str(exc))
 
 
 def serialize_nfa(nfa: Nfa) -> str:
@@ -178,65 +163,59 @@ def serialize_nfa(nfa: Nfa) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str, source: str | None = None) -> Graph:
+def _first_line(text: str, kind: str, form: str, first: str, second: str):
+    """Read the two-number first line of a graph or vectors file; returns its
+    line number, both numbers and the content lines after it."""
     lines = list(_content_lines(text))
     if not lines:
-        raise ParseError("empty graph file", None, source)
+        raise ParseError(f"empty {kind} file")
     line, tokens = lines[0]
     if len(tokens) != 2:
-        raise ParseError("expected '<n> <m>' on the first line", line, source)
-    n = _int_token(tokens[0], "vertex count", line, source)
-    m = _int_token(tokens[1], "edge count", line, source)
+        raise ParseError(f"expected '{form}' on the first line", line)
+    return line, _int_token(tokens[0], first, line), _int_token(tokens[1], second, line), lines[1:]
+
+
+def parse_graph(text: str) -> Graph:
+    line, n, m, lines = _first_line(text, "graph", "<n> <m>", "vertex count", "edge count")
     if not 1 <= 4 * n <= MAX_STATES:
-        raise ParseError(f"vertex count must be in 1..{MAX_STATES // 4}, got {n}", line, source)
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", None, source)
+        raise ParseError(f"vertex count must be in 1..{MAX_STATES // 4}, got {n}", line)
+    if len(lines) != m:
+        raise ParseError(f"expected {m} edge lines, found {len(lines)}")
     edges = set()
-    for line, tokens in lines[1:]:
+    for line, tokens in lines:
         if len(tokens) != 2:
-            raise ParseError("expected '<u> <v>'", line, source)
-        u = _int_token(tokens[0], "vertex", line, source)
-        v = _int_token(tokens[1], "vertex", line, source)
+            raise ParseError("expected '<u> <v>'", line)
+        u = _int_token(tokens[0], "vertex", line)
+        v = _int_token(tokens[1], "vertex", line)
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex out of range in edge {u} {v}", line, source)
+            raise ParseError(f"vertex out of range in edge {u} {v}", line)
         if u == v:
-            raise ParseError(f"self-loop on vertex {u}", line, source)
+            raise ParseError(f"self-loop on vertex {u}", line)
         edge = (min(u, v), max(u, v))
         if edge in edges:
-            raise ParseError(f"duplicate edge {u} {v}", line, source)
+            raise ParseError(f"duplicate edge {u} {v}", line)
         edges.add(edge)
     return Graph(n, frozenset(edges))
 
 
-def parse_ov(text: str, source: str | None = None) -> OvInstance:
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty vectors file", None, source)
-    line, tokens = lines[0]
-    if len(tokens) != 2:
-        raise ParseError("expected '<n> <d>' on the first line", line, source)
-    n = _int_token(tokens[0], "vector count", line, source)
-    d = _int_token(tokens[1], "dimension", line, source)
+def parse_ov(text: str) -> OvInstance:
+    line, n, d, lines = _first_line(text, "vectors", "<n> <d>", "vector count", "dimension")
     if n < 1 or d < 1:
-        raise ParseError(f"need n >= 1 and d >= 1, got n={n}, d={d}", line, source)
+        raise ParseError(f"need n >= 1 and d >= 1, got n={n}, d={d}", line)
     # reduce_ov builds two paths of (n-1)(d+2)+1 states, n gadgets of d, x and y
     states = 2 * ((n - 1) * (d + 2) + 1) + n * d + 2
     if states > MAX_STATES:
-        raise ParseError(
-            f"n={n}, d={d} reduces to {states} states, more than {MAX_STATES}", line, source
-        )
-    if len(lines) - 1 != 2 * n:
-        raise ParseError(f"expected {2 * n} vector lines, found {len(lines) - 1}", None, source)
+        raise ParseError(f"n={n}, d={d} reduces to {states} states, more than {MAX_STATES}", line)
+    if len(lines) != 2 * n:
+        raise ParseError(f"expected {2 * n} vector lines, found {len(lines)}")
     sides: dict[str, list[tuple[int, ...]]] = {"v": [], "w": []}
-    for index, (line, tokens) in enumerate(lines[1:]):
+    for index, (line, tokens) in enumerate(lines):
         expected = "v" if index < n else "w"
         if len(tokens) != 2 or tokens[0] != expected:
-            raise ParseError(f"expected '{expected} <bitstring>'", line, source)
+            raise ParseError(f"expected '{expected} <bitstring>'", line)
         bits = tokens[1]
         if len(bits) != d or any(ch not in "01" for ch in bits):
-            raise ParseError(
-                f"bitstring must be {d} characters of 0/1, got {bits!r}", line, source
-            )
+            raise ParseError(f"bitstring must be {d} characters of 0/1, got {bits!r}", line)
         sides[expected].append(tuple(int(ch) for ch in bits))
     return OvInstance(n, d, tuple(sides["v"]), tuple(sides["w"]))
 
@@ -264,15 +243,31 @@ def _read(path: str) -> str:
         # the bytes before the bad one decode; a character appended to them
         # lands on the bad byte's line
         line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"not UTF-8 text: {exc.reason}", line, path) from None
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line) from None
 
 
-def _load_nfa(path: str) -> Nfa:
-    return parse_nfa(_read(path), source=path)
+def _load(parse, path: str):
+    """parse(text of the file at path); a ParseError names the file."""
+    try:
+        return parse(_read(path))
+    except ParseError as exc:
+        exc.source = path
+        raise
+
+
+def _write_nfa(path: str, nfa: Nfa) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(serialize_nfa(nfa))
+
+
+def _verdict(positive: bool, yes: str, no: str) -> int:
+    """Print the answer word; exit 0 for a positive answer, 1 for a negative."""
+    print(yes if positive else no)
+    return 0 if positive else 1
 
 
 def cmd_validate(args) -> int:
-    report = validate(_load_nfa(args.nfa))
+    report = validate(_load(parse_nfa, args.nfa))
     flags = [(field.name, getattr(report, field.name)) for field in fields(report)]
     for name, value in flags:
         print(f"{name}: {str(value).lower()}")
@@ -283,14 +278,12 @@ def cmd_accept_length(args) -> int:
     length = _int_token(args.length, "length")
     if length > MAX_LENGTH:
         raise ParseError(f"length {length} exceeds 2^63")
-    nfa = _load_nfa(args.nfa)
-    accepted = accepts_length(nfa, length)
-    print("ACCEPT" if accepted else "REJECT")
-    return 0 if accepted else 1
+    nfa = _load(parse_nfa, args.nfa)
+    return _verdict(accepts_length(nfa, length), "ACCEPT", "REJECT")
 
 
 def cmd_enumerate(args) -> int:
-    nfa = _load_nfa(args.nfa)
+    nfa = _load(parse_nfa, args.nfa)
     engine = enumerate_naive if args.engine == "naive" else enumerate_fast
     for length in engine(nfa):
         print(length)
@@ -298,30 +291,26 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    nfa = _load_nfa(args.nfa)
-    accepted = simulate(nfa, args.word)
-    print("ACCEPT" if accepted else "REJECT")
-    return 0 if accepted else 1
+    nfa = _load(parse_nfa, args.nfa)
+    return _verdict(simulate(nfa, args.word), "ACCEPT", "REJECT")
 
 
 def cmd_reduce_triangle(args) -> int:
-    reduction = reduce_triangle(parse_graph(_read(args.graph), source=args.graph))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(serialize_nfa(reduction.nfa))
+    reduction = reduce_triangle(_load(parse_graph, args.graph))
+    _write_nfa(args.out, reduction.nfa)
     print(f"target_length {reduction.target_length}")
     return 0
 
 
 def cmd_reduce_ov(args) -> int:
-    reduction = reduce_ov(parse_ov(_read(args.vectors), source=args.vectors))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(serialize_nfa(reduction.nfa))
+    reduction = reduce_ov(_load(parse_ov, args.vectors))
+    _write_nfa(args.out, reduction.nfa)
     print(reduction.input)
     return 0
 
 
 def cmd_triangle_check(args) -> int:
-    graph = parse_graph(_read(args.graph), source=args.graph)
+    graph = _load(parse_graph, args.graph)
     if args.engine == "brute":
         found = has_triangle_brute(graph)
     elif args.engine == "matmul":
@@ -329,8 +318,7 @@ def cmd_triangle_check(args) -> int:
     else:
         reduction = reduce_triangle(graph)
         found = accepts_length(reduction.nfa, reduction.target_length)
-    print("TRIANGLE" if found else "TRIANGLE-FREE")
-    return 0 if found else 1
+    return _verdict(found, "TRIANGLE", "TRIANGLE-FREE")
 
 
 def _median_times(fns, repetitions: int):

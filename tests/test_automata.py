@@ -85,6 +85,8 @@ def test_graph_rejects_self_loop_and_range():
         Graph(3, frozenset({(0, 3)}))
     with pytest.raises(ValueError):
         Graph(3, frozenset({(0, 1.5)}))
+    with pytest.raises(ValueError):
+        Graph(3, frozenset({5}))
     g = Graph(3, frozenset({(2, 0)}))
     assert g.has_edge(0, 2) and g.has_edge(2, 0)
     assert not g.has_edge(0, 1)

@@ -1,5 +1,6 @@
 import pytest
 
+from nfakit import Nfa, accepts_length
 from nfakit.boolmat import (
     BoolMatrix,
     DimensionMismatchError,
@@ -161,6 +162,8 @@ def test_power_rejects_bad_exponents():
         power(a, -1)
     with pytest.raises(ValueError):
         power(a, 1 << 64)
+    with pytest.raises(ValueError):
+        power(a, 2.0)
     assert power(a, (1 << 64) - 1) == a
 
 
@@ -225,6 +228,10 @@ def test_row_times_power_rejects_bad_input():
         row_times_power(a, 1 << 3, 1)
     with pytest.raises(ValueError):
         row_times_power(a, -1, 1)
+    with pytest.raises(ValueError):
+        row_times_power(a, 1.0, 1)
+    with pytest.raises(ValueError):  # accepts_length hands its length on as e
+        accepts_length(Nfa(1, ("a",), 0, frozenset(), frozenset()), 2.0)
     assert row_times_power(a, 0b101, (1 << 64) - 1) == 0b101
 
 
@@ -284,6 +291,10 @@ def test_matrix_invariants_enforced():
         BoolMatrix(2, (0b100, 0))
     with pytest.raises(ValueError):
         BoolMatrix(2, (-1, 0))
+    with pytest.raises(ValueError):
+        BoolMatrix(2.0, (1, 2))
+    with pytest.raises(ValueError):
+        BoolMatrix(2, (1.0, 2))
     m = identity(2)
     with pytest.raises(IndexError):
         m.get(2, 0)

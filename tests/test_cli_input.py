@@ -1,0 +1,200 @@
+"""File input through `main`: error messages name the file, the parsers are
+called through their module attributes, and hostile files end in an exit
+code, never a traceback."""
+
+import io
+import random
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from nfakit import cli
+from nfakit.cli import main
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one `main(argv)` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+BAD_NFA = "states 2\nalphabet a\nstart 0\nfinal 1\n0 a 2\n"
+BAD_GRAPH = "3 1\n\n1 1\n"
+BAD_VECTORS = "1 2\nv 01\nw 0x\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, extra, line, message",
+    [
+        ("validate", BAD_NFA, [], 5, "transition state out of range"),
+        ("accept-length", BAD_NFA, ["3"], 5, "transition state out of range"),
+        ("enumerate", BAD_NFA, [], 5, "transition state out of range"),
+        ("simulate", BAD_NFA, ["a"], 5, "transition state out of range"),
+        ("triangle-check", BAD_GRAPH, [], 3, "self-loop on vertex 1"),
+        ("reduce-triangle", BAD_GRAPH, ["OUT"], 3, "self-loop on vertex 1"),
+        ("reduce-ov", BAD_VECTORS, ["OUT"], 3, "bitstring must be 2 characters of 0/1, got '0x'"),
+        ("validate", "states 1\nalphabet a\nstart 0\n", [], None, "missing 'final' line"),
+    ],
+)
+def test_every_file_error_names_its_file(tmp_path, command, text, extra, line, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.nfa"
+    argv = [command, str(path)] + [str(out) if arg == "OUT" else arg for arg in extra]
+    where = f"line {line}: " if line is not None else ""
+    assert run(argv) == (2, "", f"error: {path}: {where}{message}\n")
+    assert not out.exists()
+
+
+def test_each_command_parses_and_serializes_through_the_module_attributes(
+    tmp_path, monkeypatch
+):
+    # the traced benchmark wraps these attributes of nfakit.cli; a command
+    # that reached the functions another way would lose their spans
+    calls = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in ("parse_nfa", "parse_graph", "parse_ov", "serialize_nfa"):
+        spy(name)
+    nfa = tmp_path / "in.nfa"
+    nfa.write_text("states 2\nalphabet a\nstart 0\nfinal 1\n0 a 1\n")
+    graph = tmp_path / "in.graph"
+    graph.write_text("3 3\n0 1\n1 2\n0 2\n")
+    vectors = tmp_path / "in.ov"
+    vectors.write_text("1 1\nv 1\nw 0\n")
+    out = str(tmp_path / "out.nfa")
+    expected = {
+        ("simulate", str(nfa), "a"): ["parse_nfa"],
+        ("triangle-check", str(graph)): ["parse_graph"],
+        ("reduce-ov", str(vectors), out): ["parse_ov", "serialize_nfa"],
+    }
+    for argv, names in expected.items():
+        calls.clear()
+        code, _, err = run(list(argv))
+        assert (code, err) == (0, "")
+        assert calls == names
+
+
+# ---------------------------------------------------------------------------
+# hostile files
+
+NUMBERS = ("0", "1", "2", "3", "-1", "+1", "1_0", "65537", "٢", "²", "9" * 30, "0x1", "1.0", "")
+SYMBOLS = ("a", "b", "#", "é", "\u200b", "ab")
+WORDS = ("states", "alphabet", "start", "final", "v", "w", "#", "\ufeffstates")
+
+
+def _nfa_lines(rng):
+    n = rng.randint(1, 4)
+    alphabet = rng.sample(SYMBOLS[:2], rng.randint(1, 2)) if rng.random() < 0.8 else [
+        rng.choice(SYMBOLS) for _ in range(rng.randint(0, 3))
+    ]
+    lines = [
+        f"states {n}",
+        " ".join(["alphabet", *alphabet]),
+        f"start {rng.randrange(n)}",
+        " ".join(["final", *(str(q) for q in range(n) if rng.random() < 0.4)]),
+    ]
+    rng.shuffle(lines)
+    for _ in range(rng.randint(0, 6)):
+        sym = rng.choice(alphabet) if alphabet and rng.random() < 0.9 else rng.choice(SYMBOLS)
+        lines.append(f"{rng.randrange(n)} {sym} {rng.randrange(n)}")
+    return lines
+
+
+def _graph_lines(rng):
+    n = rng.randint(1, 5)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    return [f"{n} {len(pairs)}", *(f"{u} {v}" for u, v in pairs)]
+
+
+def _vector_lines(rng):
+    n, d = rng.randint(1, 3), rng.randint(1, 4)
+    return [f"{n} {d}"] + [
+        f"{side} {''.join(rng.choice('01') for _ in range(d))}" for side in "vw" for _ in range(n)
+    ]
+
+
+def _mutate(rng, lines):
+    """Apply a few line- and token-level edits, then pick line ends."""
+    lines = list(lines)
+    for _ in range(rng.randint(0, 3)):
+        edit = rng.randrange(6)
+        index = rng.randrange(len(lines) + 1)
+        if edit == 0 and lines:
+            del lines[min(index, len(lines) - 1)]
+        elif edit == 1 and lines:
+            lines.insert(index, rng.choice(lines))
+        elif edit == 2:
+            lines.insert(index, rng.choice(("", "# comment", "   ", rng.choice(WORDS))))
+        elif lines:
+            at = min(index, len(lines) - 1)
+            tokens = lines[at].split() or [""]
+            tokens[rng.randrange(len(tokens))] = rng.choice((NUMBERS, SYMBOLS, WORDS)[edit - 3])
+            if rng.random() < 0.3:
+                tokens.append(rng.choice(NUMBERS))
+            lines[at] = " ".join(tokens)
+    text = ("\r\n" if rng.random() < 0.2 else "\n").join(lines)
+    if rng.random() < 0.8:
+        text += "\n"
+    return ("\ufeff" if rng.random() < 0.1 else "") + text
+
+
+def hostile_cases(seed, count, directory):
+    """Yield argv lists, each after writing its seeded input file to
+    directory/input.txt; outputs go to directory/out.nfa."""
+    rng = random.Random(seed)
+    path, out = str(directory / "input.txt"), str(directory / "out.nfa")
+    for _ in range(count):
+        kind = rng.randrange(3)
+        maker = (_nfa_lines, _graph_lines, _vector_lines)[kind]
+        text = _mutate(rng, maker(rng)) if rng.random() < 0.9 else "\n".join(maker(rng))
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        if kind == 0:
+            command = rng.choice(("validate", "accept-length", "enumerate", "simulate"))
+            argv = [command, path]
+            if command == "accept-length":
+                argv.append(rng.choice(("0", "5", "9223372036854775808", *NUMBERS)))
+            elif command == "simulate":
+                argv.append("".join(rng.choice(SYMBOLS[:5]) for _ in range(rng.randint(0, 4))))
+            elif command == "enumerate":
+                argv += ["--engine", rng.choice(("naive", "fast"))]
+        elif kind == 1:
+            command = rng.choice(("triangle-check", "reduce-triangle"))
+            argv = [command, path]
+            if command == "triangle-check":
+                argv += ["--engine", rng.choice(("brute", "matmul", "reduction"))]
+            else:
+                argv.append(out)
+        else:
+            argv = ["reduce-ov", path, out]
+        if rng.random() < 0.02:
+            argv = argv[:1] if rng.random() < 0.5 else argv + ["--bogus"]
+        yield argv
+
+
+def test_hostile_files_end_in_an_exit_code(tmp_path):
+    codes = {0: 0, 1: 0, 2: 0, "argparse": 0}
+    for argv in hostile_cases(8101, 3000, tmp_path):
+        try:
+            code, _, err = run(argv)
+        except SystemExit as exc:  # argparse refused the argv itself
+            assert exc.code == 2, argv
+            codes["argparse"] += 1
+            continue
+        assert code in codes, argv
+        codes[code] += 1
+        if code == 2:
+            assert err.startswith("error: "), (argv, err)
+    # the inputs reach every verdict, not only the refusals
+    assert all(codes.values()), codes
