@@ -25,15 +25,25 @@ def accepts_length(nfa: Nfa, length: int) -> bool:
 
 
 def simulate(nfa: Nfa, word: Word) -> bool:
-    """Frontier simulation: track the set of states after each symbol."""
-    successors = _successor_rows(nfa)
+    """Frontier simulation: track the set of states after each symbol.
+
+    A step is Shift-And: the frontier's states with an edge p -> p+1 on
+    the symbol move by one shift, and only those with other edges on it
+    go through the row kernel.
+    """
+    # per symbol (shift, exceptions, rows): bit p of exceptions is set iff
+    # rows[p] is not empty
+    steps = {
+        ch: (shift, sum(1 << p for p, row in enumerate(rows) if row), rows)
+        for ch, (shift, rows) in _successor_rows(nfa).items()
+    }
     for ch in word:  # all of it, before a step can end the run early
-        if ch not in successors:
+        if ch not in steps:
             raise SymbolNotInAlphabetError(f"symbol {ch!r} not in alphabet")
-    nbytes = (nfa.state_count + 7) >> 3
     frontier = 1 << nfa.start
     for ch in word:
-        frontier = _row_times(frontier, successors[ch], nbytes)
+        shift, exceptions, rows = steps[ch]
+        frontier = (frontier & shift) << 1 | _row_times(frontier & exceptions, rows)
         if not frontier:
             return False
     return bool(frontier & finals_mask(nfa))

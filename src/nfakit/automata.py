@@ -202,24 +202,38 @@ def trim(nfa: Nfa) -> Nfa:
     return Nfa(len(keep), nfa.alphabet, remap[nfa.start], finals, transitions)
 
 
-def _successor_rows(nfa: Nfa) -> dict[Symbol, list[int]]:
-    """Bit q of rows[sym][p] is set iff p -sym-> q: the one encoder of
-    transitions into bit rows. Built per call and never stored, as a
-    chain's rows take n(n-1)/2 bits, 256 MiB at 65536 states."""
-    rows = {sym: [0] * nfa.state_count for sym in nfa.alphabet}
+def _successor_rows(nfa: Nfa) -> dict[Symbol, tuple[int, list[int]]]:
+    """The one encoder of transitions into bit rows, split for Shift-And.
+
+    Per symbol it gives (shift, rows): bit p of shift is set iff
+    p -sym-> p+1, and bit q of rows[p] is set iff p -sym-> q for any other
+    q. Built per call and never stored. Chain edges live only in the shift
+    mask, so a chain takes n bits, not the n(n-1)/2 of its full rows.
+    """
+    n = nfa.state_count
+    shifts = {sym: bytearray((n + 7) >> 3) for sym in nfa.alphabet}
+    rows = {sym: [0] * n for sym in nfa.alphabet}
     for src, sym, dst in nfa.transitions:
-        rows[sym][src] |= 1 << dst
-    return rows
+        if dst == src + 1:
+            shifts[sym][src >> 3] |= 1 << (src & 7)
+        else:
+            rows[sym][src] |= 1 << dst
+    return {sym: (int.from_bytes(shifts[sym], "little"), rows[sym]) for sym in nfa.alphabet}
 
 
 def adjacency_matrix(nfa: Nfa) -> BoolMatrix:
     """Bit (i, j) set iff some transition i -> j exists on any symbol."""
-    per_symbol = list(_successor_rows(nfa).values())
-    # one letter: its rows are the matrix's, used as they are
-    rows = per_symbol[0] if per_symbol else [0] * nfa.state_count
-    for more in per_symbol[1:]:
-        rows = list(map(or_, rows, more))
-    return BoolMatrix(nfa.state_count, tuple(rows))
+    rows = None
+    for shift, sym_rows in _successor_rows(nfa).values():
+        # put each chain edge p -> p+1 back into its row, in linear time
+        bits = bin(shift)[:1:-1]  # character p is bit p
+        p = bits.find("1")
+        while p >= 0:
+            sym_rows[p] |= 2 << p
+            p = bits.find("1", p + 1)
+        # one letter: its rows are the matrix's, used as they are
+        rows = sym_rows if rows is None else list(map(or_, rows, sym_rows))
+    return BoolMatrix(nfa.state_count, tuple(rows or [0] * nfa.state_count))
 
 
 def finals_mask(nfa: Nfa) -> int:

@@ -110,7 +110,6 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
     _check_exponent(e)
     if not isinstance(row, int) or row < 0 or row >> a.dim:
         raise ValueError(f"row must be an integer with bits in columns 0..{a.dim - 1}")
-    nbytes = (a.dim + 7) >> 3
     square = a
     squares = []  # rows of a**(2**j) for j = 0, 1, ... until one repeats
     first_index = {}  # keyed on the rows themselves, so a repeat is exact
@@ -128,30 +127,37 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
                 squares.append(square.rows)
         rows = squares[start + (j - start) % period] if period else squares[j]
         if e >> j & 1:
-            row = _row_times(row, rows, nbytes)
+            row = _row_times(row, rows)
     return row
 
 
-def _row_times(row, brows, nbytes, tables=None):
-    # row vector times matrix: OR of brows[k] over the set bits k of row,
-    # nbytes = ceil(dim / 8); sparse rows walk their set bits. Dense rows go
-    # byte by byte: given the tables of a product (see _mul_rows_packed) they
-    # OR one entry per nonzero byte, else the rows of the byte's set bits
+def _row_times(row, brows, tables=None):
+    # row vector times matrix: OR of brows[k] over the set bits k of row.
+    # Sparse rows walk their set bits. Dense rows go byte by byte over their
+    # set-bit span only, from the lowest nonzero byte to the highest: given
+    # the tables of a product (see _mul_rows_packed) they OR one entry per
+    # nonzero byte, else the rows of the byte's set bits
     acc = 0
     if row.bit_count() <= 64:
         while row:
             low = row & -row
             acc |= brows[low.bit_length() - 1]
             row ^= low
-    elif tables is None:
+        return acc
+    first = 0  # index of the lowest nonzero byte
+    if not row & 0xFF:  # zero low bytes to skip: worth the shift
+        first = (row & -row).bit_length() - 1 >> 3
+        row >>= first << 3
+    span = enumerate(row.to_bytes((row.bit_length() + 7) >> 3, "little"), first)
+    if tables is None:
         byte_bits = _BYTE_BITS  # local: looked up once per nonzero byte
-        for byte_index, byte in enumerate(row.to_bytes(nbytes, "little")):
+        for byte_index, byte in span:
             if byte:
                 base = byte_index << 3
                 for k in byte_bits[byte]:
                     acc |= brows[base + k]
     else:
-        for group, byte in enumerate(row.to_bytes(nbytes, "little")):
+        for group, byte in span:
             if byte:
                 table = tables[group]
                 if table is None:
@@ -159,7 +165,7 @@ def _row_times(row, brows, nbytes, tables=None):
                 entry = table[byte]
                 if entry is None:  # first use: bit walk over the byte's rows of b
                     base = group << 3
-                    entry = table[byte] = _row_times(byte, brows[base : base + 8], 1)
+                    entry = table[byte] = _row_times(byte, brows[base : base + 8])
                 acc |= entry
     return acc
 
@@ -170,9 +176,8 @@ def _mul_rows_packed(arows, brows, dim):
     # over the set bits k of byte, made on first use. The tables go with the
     # product; a lone vector (simulate, row_times_power) would refill them
     # for every step, so it keeps the byte scan
-    nbytes = (dim + 7) >> 3
-    tables = [None] * nbytes
-    return [_row_times(row, brows, nbytes, tables) if row else 0 for row in arows]
+    tables = [None] * ((dim + 7) >> 3)
+    return [_row_times(row, brows, tables) if row else 0 for row in arows]
 
 
 def _mul_rows_naive(arows, brows, dim):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from nfakit import (
@@ -5,12 +7,14 @@ from nfakit import (
     Nfa,
     NotAcyclicError,
     NotUnaryError,
+    OvInstance,
     SymbolNotInAlphabetError,
     accepts_length,
     adjacency_matrix,
     enumerate_naive,
     mul_calls,
     power,
+    reduce_ov,
     reduce_triangle,
     simulate,
 )
@@ -190,6 +194,54 @@ def test_simulate_matches_set_frontier_on_dense_nfas():
                     widest = max(widest, len(frontier))
                 assert simulate(nfa, word[:end]) == bool(frontier & finals)
     assert widest > 64
+
+
+def test_simulate_matches_set_frontier_on_chains_with_other_edges():
+    # simulate moves the states with an edge p -> p+1 by one shift and runs
+    # only the others through the row kernel. Here 'a' steps p -> p+1 from
+    # every state, 'b' from some, 'c' from none, and some states also have
+    # other edges on a symbol on which they step to p+1
+    rng = seeded(36)
+    both = 0
+    for _ in range(30):
+        n = rng.randint(2, 160)
+        successors = {ch: [set() for _ in range(n)] for ch in "abc"}
+        for q in range(n - 1):
+            successors["a"][q].add(q + 1)
+            if rng.random() < 0.5:
+                successors["b"][q].add(q + 1)
+        for ch in "abc":
+            for q in range(n):
+                if rng.random() < 0.15:
+                    successors[ch][q].update(rng.sample(range(n), rng.choice((1, 2, min(70, n)))))
+                both += q + 1 in successors[ch][q] and len(successors[ch][q]) > 1
+        transitions = {(q, ch, dst) for ch in "abc" for q in range(n) for dst in successors[ch][q]}
+        finals = frozenset(rng.sample(range(n), rng.randint(1, 3)))
+        nfa = Nfa(n, ("a", "b", "c"), rng.randrange(n), finals, frozenset(transitions))
+        for _ in range(8):
+            word = "".join(rng.choice("aabc") for _ in range(rng.randint(0, 40)))
+            frontier = {nfa.start}
+            for end in range(len(word) + 1):
+                if end:
+                    frontier = {dst for q in frontier for dst in successors[word[end - 1]][q]}
+                assert simulate(nfa, word[:end]) == bool(frontier & finals)
+    assert both > 100
+
+
+def test_simulate_heap_stays_small_on_a_max_size_ov_reduction():
+    # the reduction is mostly chains, which the encoder keeps as one shift
+    # mask per symbol; full rows would take n(n-1)/2 bits per symbol
+    d = 16382  # n = 2 reduces to exactly MAX_STATES = 65536 states
+    reduction = reduce_ov(OvInstance(2, d, ((0,) * d, (1,) * d), ((1,) * d, (0,) * d)))
+    assert reduction.nfa.state_count == 65536
+    tracemalloc.start()
+    try:
+        accepted = simulate(reduction.nfa, reduction.input)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert accepted
+    assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------------------

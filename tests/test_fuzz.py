@@ -1,13 +1,16 @@
 """Property tests on generated automata (hypothesis, derandomized profile)."""
 
+import random
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nfakit import Nfa, simulate
+from nfakit import Nfa, OvInstance, ov_brute, reduce_ov, simulate
 from nfakit.automata import _successor_rows
+from nfakit.boolmat import _row_times
 from nfakit.cli import parse_nfa, serialize_nfa
 
 # '#' starts a comment line in NFA files, so it is worth a round trip
@@ -24,6 +27,10 @@ def nfas(draw):
         if alphabet
         else frozenset()
     )
+    if alphabet and n > 1:
+        # chain edges p -> p+1, which the encoder keeps in its shift masks
+        steps = st.tuples(st.integers(0, n - 2), st.sampled_from(alphabet))
+        transitions |= {(p, sym, p + 1) for p, sym in draw(st.frozensets(steps, max_size=12))}
     return Nfa(n, alphabet, draw(states), draw(st.frozensets(states)), transitions)
 
 
@@ -42,16 +49,16 @@ def test_serialize_then_parse_is_identity(nfa):
 
 @given(nfas())
 def test_successor_rows_encode_exactly_the_triples(nfa):
-    rows = _successor_rows(nfa)
-    assert list(rows) == list(nfa.alphabet)
-    assert all(len(sym_rows) == nfa.state_count for sym_rows in rows.values())
-    encoded = {
-        (p, sym, q)
-        for sym, sym_rows in rows.items()
-        for p, row in enumerate(sym_rows)
-        for q in range(row.bit_length())
-        if row >> q & 1
-    }
+    split = _successor_rows(nfa)
+    assert list(split) == list(nfa.alphabet)
+    encoded = set()
+    for sym, (shift, rows) in split.items():
+        assert len(rows) == nfa.state_count
+        # the shift mask holds exactly the edges p -> p+1, the rows the rest
+        encoded |= {(p, sym, p + 1) for p in range(shift.bit_length()) if shift >> p & 1}
+        for p, row in enumerate(rows):
+            assert not row >> (p + 1) & 1
+            encoded |= {(p, sym, q) for q in range(row.bit_length()) if row >> q & 1}
     assert encoded == nfa.transitions
 
 
@@ -61,3 +68,50 @@ def test_simulate_matches_set_frontier(data):
     word = data.draw(st.text(alphabet=nfa.alphabet, max_size=12))
     assert simulate(nfa, word) == set_frontier(nfa, word)
 
+
+@st.composite
+def vectors_and_rows(draw):
+    """A bit vector, the rows it picks from, and whether to pass tables.
+
+    The vector's lowest set bit sits at any offset, and it has either at
+    most 64 set bits (the kernel's bit walk) or more (its byte loops).
+    """
+    dense = draw(st.booleans())
+    dim = draw(st.integers(65 if dense else 1, 400))
+    low = draw(st.integers(0, dim - (65 if dense else 1)))
+    span = dim - low
+    count = draw(st.integers(65, span) if dense else st.integers(1, min(span, 64)))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    row = sum(1 << k for k in rng.sample(range(low + 1, dim), count - 1)) | 1 << low
+    # one bit per row, each in its own column: the OR names the rows picked,
+    # where the OR of many random rows would be all ones whichever were picked
+    brows = [1 << col for col in rng.sample(range(dim), dim)]
+    return row, brows, draw(st.booleans())
+
+
+@given(vectors_and_rows())
+def test_row_times_is_the_or_of_the_picked_rows(case):
+    row, brows, with_tables = case
+    expected = 0
+    for k in range(len(brows)):
+        if row >> k & 1:
+            expected |= brows[k]
+    tables = [None] * ((len(brows) + 7) >> 3) if with_tables else None
+    assert _row_times(row, brows, tables) == expected
+    # a second call reads the table entries the first one filled
+    assert _row_times(row, brows, tables) == expected
+
+
+@st.composite
+def ov_instances(draw):
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    vectors = st.tuples(*[st.integers(0, 1)] * d)
+    v = draw(st.tuples(*[vectors] * n))
+    w = draw(st.tuples(*[vectors] * n))
+    return OvInstance(n, d, v, w)
+
+
+@given(ov_instances())
+def test_ov_reduction_accepts_its_word_iff_a_pair_is_orthogonal(inst):
+    reduction = reduce_ov(inst)
+    assert simulate(reduction.nfa, reduction.input) == ov_brute(inst)
