@@ -133,16 +133,20 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
 
 def _row_times(row, brows, tables=None):
     # row vector times matrix: OR of brows[k] over the set bits k of row.
-    # Sparse rows walk their set bits. Dense rows go byte by byte over their
-    # set-bit span only, from the lowest nonzero byte to the highest: given
-    # the tables of a product (see _mul_rows_packed) they OR one entry per
-    # nonzero byte, else the rows of the byte's set bits
+    # A one-bit row is a lookup. Other sparse rows walk their set bits from
+    # the top down, so the row gets shorter at each step. Dense rows go byte
+    # by byte over their set-bit span only, from the lowest nonzero byte to
+    # the highest: given the tables of a product (see _mul_rows_packed) they
+    # OR one entry per nonzero byte, else the rows of the byte's set bits
+    count = row.bit_count()
+    if count == 1:
+        return brows[row.bit_length() - 1]
     acc = 0
-    if row.bit_count() <= 64:
+    if count <= 64:
         while row:
-            low = row & -row
-            acc |= brows[low.bit_length() - 1]
-            row ^= low
+            top = row.bit_length() - 1
+            acc |= brows[top]
+            row ^= 1 << top
         return acc
     first = 0  # index of the lowest nonzero byte
     if not row & 0xFF:  # zero low bytes to skip: worth the shift
@@ -161,21 +165,34 @@ def _row_times(row, brows, tables=None):
             if byte:
                 table = tables[group]
                 if table is None:
-                    table = tables[group] = [None] * 256
+                    table = tables[group] = [0] + [None] * 255
                 entry = table[byte]
-                if entry is None:  # first use: bit walk over the byte's rows of b
-                    base = group << 3
-                    entry = table[byte] = _row_times(byte, brows[base : base + 8])
+                if entry is None:
+                    entry = _fill_entry(table, byte, brows, group << 3)
                 acc |= entry
     return acc
+
+
+def _fill_entry(table, byte, brows, base):
+    # table fill of M4RM: the entry of byte is the entry of byte less its top
+    # bit, filled first if missing (table[0] is 0), ORed with that bit's row
+    # of b. One OR per entry, at most 8 calls deep
+    top = byte.bit_length() - 1
+    rest = byte ^ 1 << top
+    entry = table[rest]
+    if entry is None:
+        entry = _fill_entry(table, rest, brows, base)
+    entry = table[byte] = entry | brows[base + top]
+    return entry
 
 
 def _mul_rows_packed(arows, brows, dim):
     # result row i = row i of a times b. The dense rows of a share one set of
     # Four Russians tables: tables[g][byte] is the OR of the rows 8g + k of b
-    # over the set bits k of byte, made on first use. The tables go with the
-    # product; a lone vector (simulate, row_times_power) would refill them
-    # for every step, so it keeps the byte scan
+    # over the set bits k of byte, made on first use from a smaller entry with
+    # one OR (see _fill_entry). The tables go with the product; a lone vector
+    # (simulate, row_times_power) would refill them for every step, so it
+    # keeps the byte scan
     tables = [None] * ((dim + 7) >> 3)
     return [_row_times(row, brows, tables) if row else 0 for row in arows]
 

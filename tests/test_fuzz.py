@@ -102,6 +102,65 @@ def test_row_times_is_the_or_of_the_picked_rows(case):
     assert _row_times(row, brows, tables) == expected
 
 
+def picked_or(row, brows):
+    """Oracle: the plain OR of the rows whose bits are set in row."""
+    out = 0
+    for k in range(len(brows)):
+        if row >> k & 1:
+            out |= brows[k]
+    return out
+
+
+def assert_tables_hold_their_bytes(tables, brows):
+    # entry [g][byte] must be the OR of rows 8g + k over the set bits k of
+    # byte, the entries filled on the way to another one included
+    for group, table in enumerate(tables):
+        for byte, entry in enumerate(table or ()):
+            if entry is not None:
+                assert entry == picked_or(byte << 8 * group, brows)
+
+
+@given(vectors_and_rows())
+def test_every_filled_table_entry_is_the_or_of_its_byte(case):
+    row, brows, _ = case
+    tables = [None] * ((len(brows) + 7) >> 3)
+    assert _row_times(row, brows, tables) == picked_or(row, brows)
+    assert_tables_hold_their_bytes(tables, brows)
+
+
+WIDE_DIM = 8192
+# the ends of the row and both sides of a 30-bit digit boundary of CPython ints
+EDGE_BITS = (0, 29, 30, 8190, 8191)
+
+
+def wide_vectors():
+    rng = random.Random(8192)
+    others = [k for k in range(WIDE_DIM) if k not in EDGE_BITS]
+    yield from ((bit,) for bit in EDGE_BITS)
+    yield from ((0, 8191), (29, 30), (30, 8190), (8190, 8191))
+    for count in (64, 65):
+        yield EDGE_BITS + tuple(rng.sample(others, count - len(EDGE_BITS)))
+
+
+def wide_id(bits):
+    return "bits-" + "-".join(map(str, bits)) if len(bits) <= 2 else f"{len(bits)}-bits"
+
+
+@pytest.mark.parametrize("bits", list(wide_vectors()), ids=wide_id)
+def test_row_times_on_wide_vectors_with_edge_bits(bits):
+    rng = random.Random(len(bits))
+    # a permutation matrix, so the OR names exactly the rows picked
+    brows = [1 << col for col in rng.sample(range(WIDE_DIM), WIDE_DIM)]
+    row = sum(1 << k for k in bits)
+    expected = picked_or(row, brows)
+    assert _row_times(row, brows) == expected
+    tables = [None] * (WIDE_DIM >> 3)
+    assert _row_times(row, brows, tables) == expected
+    assert_tables_hold_their_bytes(tables, brows)
+    # a second call reads the entries the first one filled
+    assert _row_times(row, brows, tables) == expected
+
+
 @st.composite
 def ov_instances(draw):
     n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
