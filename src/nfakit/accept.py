@@ -31,12 +31,7 @@ def simulate(nfa: Nfa, word: Word) -> bool:
     the symbol move by one shift, and only those with other edges on it
     go through the row kernel.
     """
-    # per symbol (shift, exceptions, rows): bit p of exceptions is set iff
-    # rows[p] is not empty
-    steps = {
-        ch: (shift, sum(1 << p for p, row in enumerate(rows) if row), rows)
-        for ch, (shift, rows) in _successor_rows(nfa).items()
-    }
+    steps = _successor_rows(nfa)
     for ch in word:  # all of it, before a step can end the run early
         if ch not in steps:
             raise SymbolNotInAlphabetError(f"symbol {ch!r} not in alphabet")

@@ -8,7 +8,6 @@ All values are immutable after construction; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import or_
 from typing import Iterable
 
 from .boolmat import BoolMatrix
@@ -202,40 +201,42 @@ def trim(nfa: Nfa) -> Nfa:
     return Nfa(len(keep), nfa.alphabet, remap[nfa.start], finals, transitions)
 
 
-def _successor_rows(nfa: Nfa) -> dict[Symbol, tuple[int, list[int]]]:
-    """The one encoder of transitions into bit rows, split for Shift-And.
+def _successor_rows(nfa: Nfa) -> dict[Symbol, tuple[int, int, list[int]]]:
+    """Encode transitions as the Shift-And table that `simulate` steps by.
 
-    Per symbol it gives (shift, rows): bit p of shift is set iff
-    p -sym-> p+1, and bit q of rows[p] is set iff p -sym-> q for any other
-    q. Built per call and never stored. Chain edges live only in the shift
-    mask, so a chain takes n bits, not the n(n-1)/2 of its full rows.
+    Per symbol it gives (shift, exceptions, rows): bit p of shift is set
+    iff p -sym-> p+1, bit q of rows[p] is set iff p -sym-> q for any other
+    q, and bit p of exceptions is set iff rows[p] is not empty. Built per
+    call and never stored. Chain edges live only in the shift mask, so a
+    chain's rows stay empty; its full rows would take n(n-1)/2 bits.
     """
     n = nfa.state_count
-    shifts = {sym: bytearray((n + 7) >> 3) for sym in nfa.alphabet}
-    rows = {sym: [0] * n for sym in nfa.alphabet}
+    size = (n + 7) >> 3
+    table = {sym: (bytearray(size), bytearray(size), [0] * n) for sym in nfa.alphabet}
     for src, sym, dst in nfa.transitions:
+        shift, exceptions, rows = table[sym]
         if dst == src + 1:
-            shifts[sym][src >> 3] |= 1 << (src & 7)
+            shift[src >> 3] |= 1 << (src & 7)
         else:
-            rows[sym][src] |= 1 << dst
-    return {sym: (int.from_bytes(shifts[sym], "little"), rows[sym]) for sym in nfa.alphabet}
+            rows[src] |= 1 << dst
+            exceptions[src >> 3] |= 1 << (src & 7)
+    return {
+        sym: (int.from_bytes(shift, "little"), int.from_bytes(exceptions, "little"), rows)
+        for sym, (shift, exceptions, rows) in table.items()
+    }
 
 
 def adjacency_matrix(nfa: Nfa) -> BoolMatrix:
     """Bit (i, j) set iff some transition i -> j exists on any symbol."""
-    rows = None
-    for shift, sym_rows in _successor_rows(nfa).values():
-        # put each chain edge p -> p+1 back into its row, in linear time
-        bits = bin(shift)[:1:-1]  # character p is bit p
-        p = bits.find("1")
-        while p >= 0:
-            sym_rows[p] |= 2 << p
-            p = bits.find("1", p + 1)
-        # one letter: its rows are the matrix's, used as they are
-        rows = sym_rows if rows is None else list(map(or_, rows, sym_rows))
-    return BoolMatrix(nfa.state_count, tuple(rows or [0] * nfa.state_count))
+    rows = [0] * nfa.state_count
+    for src, _sym, dst in nfa.transitions:
+        rows[src] |= 1 << dst
+    return BoolMatrix(nfa.state_count, tuple(rows))
 
 
 def finals_mask(nfa: Nfa) -> int:
     """Bit q set iff state q is final."""
-    return sum(1 << q for q in nfa.finals)
+    bits = bytearray((nfa.state_count + 7) >> 3)
+    for q in nfa.finals:
+        bits[q >> 3] |= 1 << (q & 7)
+    return int.from_bytes(bits, "little")

@@ -17,6 +17,7 @@ are ASCII decimal digits.
 An NFA file may declare at most MAX_STATES states, a graph file at most
 MAX_STATES // 4 vertices, and a vectors file only an n and d whose OV
 reduction has at most MAX_STATES states. Bench sizes have the same cap.
+The accept-length argument may be at most MAX_LENGTH = 2^63.
 
 Exit codes: 0 positive answer, 1 negative answer or failed validation,
 2 malformed input.

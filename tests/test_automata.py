@@ -9,6 +9,7 @@ from nfakit import (
     OvInstance,
     adjacency_matrix,
     enumerate_naive,
+    finals_mask,
     power,
     reduce_ov,
     reduce_triangle,
@@ -208,6 +209,16 @@ def test_adjacency_matches_transition_lookup():
         for i in range(nfa.state_count):
             for j in range(nfa.state_count):
                 assert m.get(i, j) == ((i, j) in pairs)
+
+
+def test_finals_mask_sets_one_bit_per_final_state():
+    for n, finals, mask in (
+        (1, (), 0),
+        (1, (0,), 1),
+        (9, (0, 8), 0b100000001),
+        (MAX_STATES, range(MAX_STATES), (1 << MAX_STATES) - 1),
+    ):
+        assert finals_mask(Nfa(n, ("a",), 0, frozenset(finals), frozenset())) == mask
 
 
 def test_acyclic_bounds_accepted_lengths():

@@ -146,6 +146,7 @@ def test_accept_length_rejects_bad_lengths(tmp_path, capsys):
     path = write(tmp_path, "loop.nfa", SELF_LOOP_NFA)
     assert main(["accept-length", path, "12x"]) == 2
     assert main(["accept-length", path, str((1 << 63) + 1)]) == 2
+    assert main(["accept-length", path, str(1 << 63)]) == 0
     assert main(["accept-length", path, "-3"]) == 2
     capsys.readouterr()
 

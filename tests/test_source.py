@@ -59,8 +59,9 @@ def test_package_source_has_no_functools_caches():
 
 
 def test_only_automata_and_cli_read_transitions():
-    # automata._successor_rows is the one encoder of transitions into bit
-    # rows; the other engines take their rows from it
+    # automata encodes transitions into bit rows, adjacency_matrix as full
+    # rows for the matrix engines and _successor_rows as simulate's
+    # Shift-And table; the other engines take their rows from these two
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.glob("*.py"))
