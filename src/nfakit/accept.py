@@ -29,16 +29,19 @@ def simulate(nfa: Nfa, word: Word) -> bool:
 
     A step is Shift-And: the frontier's states with an edge p -> p+1 on
     the symbol move by one shift, and only those with other edges on it
-    go through the row kernel.
+    go through the row kernel. Each symbol keeps one set of Four Russians
+    tables for the run, so an entry filled at one step is read at later
+    steps on the same symbol.
     """
     steps = _successor_rows(nfa)
     for ch in word:  # all of it, before a step can end the run early
         if ch not in steps:
             raise SymbolNotInAlphabetError(f"symbol {ch!r} not in alphabet")
+    tables = {ch: [None] * ((nfa.state_count + 7) >> 3) for ch in steps}
     frontier = 1 << nfa.start
     for ch in word:
         shift, exceptions, rows = steps[ch]
-        frontier = (frontier & shift) << 1 | _row_times(frontier & exceptions, rows)
+        frontier = (frontier & shift) << 1 | _row_times(frontier & exceptions, rows, tables[ch])
         if not frontier:
             return False
     return bool(frontier & finals_mask(nfa))
@@ -56,7 +59,6 @@ def enumerate_naive(nfa: Nfa) -> tuple[int, ...]:
     n = nfa.state_count
     successors = adjacency_matrix(nfa).rows
     finals = finals_mask(nfa)
-    masks = [1 << q for q in range(n)]
     frontier = 1 << nfa.start
     lengths = []
     for step in range(n):
@@ -65,7 +67,7 @@ def enumerate_naive(nfa: Nfa) -> tuple[int, ...]:
         if step < n - 1:
             nxt = 0
             for q in range(n):
-                if frontier & masks[q]:
+                if frontier >> q & 1:
                     nxt |= successors[q]
             frontier = nxt
     return tuple(lengths)

@@ -3,6 +3,7 @@ vector times power."""
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 
@@ -10,10 +11,7 @@ class DimensionMismatchError(ValueError):
     """Operands of a matrix product have different dimensions."""
 
 
-# bit positions set in each possible byte value, used to walk packed rows
-_BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
-
-_mul_calls = 0
+_mul_calls = ContextVar("mul_calls", default=0)
 
 _METHODS = ("packed", "naive")
 
@@ -54,24 +52,22 @@ def identity(dim: int) -> BoolMatrix:
 
 def mul_calls() -> int:
     """Number of boolean matrix multiplications since the last reset."""
-    return _mul_calls
+    return _mul_calls.get()
 
 
 def reset_mul_calls() -> None:
-    global _mul_calls
-    _mul_calls = 0
+    _mul_calls.set(0)
 
 
 def mul(a: BoolMatrix, b: BoolMatrix, method: str = "packed") -> BoolMatrix:
     """Boolean product: entry (i,j) = OR over k of a(i,k) AND b(k,j)."""
-    global _mul_calls
     if a.dim != b.dim:
         raise DimensionMismatchError(
             f"cannot multiply {a.dim}x{a.dim} by {b.dim}x{b.dim}"
         )
     if method not in _METHODS:
         raise ValueError(f"unknown multiplier {method!r}, expected one of {_METHODS}")
-    _mul_calls += 1
+    _mul_calls.set(_mul_calls.get() + 1)
     if method == "packed":
         rows = _mul_rows_packed(a.rows, b.rows, a.dim)
     else:
@@ -133,16 +129,19 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
 
 def _row_times(row, brows, tables=None):
     # row vector times matrix: OR of brows[k] over the set bits k of row.
-    # A one-bit row is a lookup. Other sparse rows walk their set bits from
-    # the top down, so the row gets shorter at each step. Dense rows go byte
-    # by byte over their set-bit span only, from the lowest nonzero byte to
-    # the highest: given the tables of a product (see _mul_rows_packed) they
-    # OR one entry per nonzero byte, else the rows of the byte's set bits
+    # A one-bit row is a lookup. A row with at most 64 set bits, or with no
+    # tables, walks its set bits from the top down, so the row gets shorter
+    # at each step. A denser row with tables goes byte by byte over its
+    # set-bit span only, from the lowest nonzero byte to the highest, and
+    # ORs one Four Russians entry per nonzero byte (see _fill_entry). The
+    # tables belong to brows, so whoever multiplies by the same rows many
+    # times holds them: a product for all its rows (_mul_rows_packed),
+    # simulate for all the steps on one symbol
     count = row.bit_count()
     if count == 1:
         return brows[row.bit_length() - 1]
     acc = 0
-    if count <= 64:
+    if count <= 64 or tables is None:
         while row:
             top = row.bit_length() - 1
             acc |= brows[top]
@@ -152,24 +151,15 @@ def _row_times(row, brows, tables=None):
     if not row & 0xFF:  # zero low bytes to skip: worth the shift
         first = (row & -row).bit_length() - 1 >> 3
         row >>= first << 3
-    span = enumerate(row.to_bytes((row.bit_length() + 7) >> 3, "little"), first)
-    if tables is None:
-        byte_bits = _BYTE_BITS  # local: looked up once per nonzero byte
-        for byte_index, byte in span:
-            if byte:
-                base = byte_index << 3
-                for k in byte_bits[byte]:
-                    acc |= brows[base + k]
-    else:
-        for group, byte in span:
-            if byte:
-                table = tables[group]
-                if table is None:
-                    table = tables[group] = [0] + [None] * 255
-                entry = table[byte]
-                if entry is None:
-                    entry = _fill_entry(table, byte, brows, group << 3)
-                acc |= entry
+    for group, byte in enumerate(row.to_bytes((row.bit_length() + 7) >> 3, "little"), first):
+        if byte:
+            table = tables[group]
+            if table is None:
+                table = tables[group] = [0] + [None] * 255
+            entry = table[byte]
+            if entry is None:
+                entry = _fill_entry(table, byte, brows, group << 3)
+            acc |= entry
     return acc
 
 
@@ -190,9 +180,9 @@ def _mul_rows_packed(arows, brows, dim):
     # result row i = row i of a times b. The dense rows of a share one set of
     # Four Russians tables: tables[g][byte] is the OR of the rows 8g + k of b
     # over the set bits k of byte, made on first use from a smaller entry with
-    # one OR (see _fill_entry). The tables go with the product; a lone vector
-    # (simulate, row_times_power) would refill them for every step, so it
-    # keeps the byte scan
+    # one OR (see _fill_entry). The tables go with the product, since b's rows
+    # are not used again; row_times_power makes at most one fold-in per bit
+    # of the exponent, so it holds none and its fold-ins walk
     tables = [None] * ((dim + 7) >> 3)
     return [_row_times(row, brows, tables) if row else 0 for row in arows]
 

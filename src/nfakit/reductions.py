@@ -116,10 +116,14 @@ def _graph_matrix(graph: Graph) -> BoolMatrix:
 
 
 def has_triangle_matmul(graph: Graph) -> bool:
-    """Cube the adjacency matrix and look for a 1 on the diagonal."""
+    """Square the adjacency matrix and AND each row with its row in the square.
+
+    An edge {u, v} closes a triangle iff u and v share a neighbour, that is
+    iff entry (u, v) of the square is set, so one product decides it.
+    """
     m = _graph_matrix(graph)
-    cube = mul(mul(m, m), m)
-    return any(cube.rows[i] >> i & 1 for i in range(cube.dim))
+    square = mul(m, m)
+    return any(row & square_row for row, square_row in zip(m.rows, square.rows))
 
 
 def has_triangle_brute(graph: Graph) -> bool:

@@ -172,7 +172,7 @@ def test_simulate_agrees_with_accepts_length_on_unary_nfas():
 
 
 def test_simulate_matches_set_frontier_on_dense_nfas():
-    # frontiers of more than 64 states take the byte-scan path of the row kernel
+    # frontiers of more than 64 states take the table loop of the row kernel
     rng = seeded(35)
     widest = 0
     for _ in range(12):
@@ -272,6 +272,20 @@ def test_enumerate_requires_acyclic():
     loop = Nfa(1, ("a",), 0, frozenset({0}), {(0, "a", 0)})
     with pytest.raises(NotAcyclicError):
         enumerate_naive(loop)
+
+
+def test_enumerate_heap_does_not_grow_with_the_states_scanned():
+    # every step scans all n states; testing a state's bit must not keep a
+    # mask per state, n²/2 bits in all
+    nfa = Nfa(2048, ("a",), 0, frozenset({1}), {(0, "a", 1)})
+    tracemalloc.start()
+    try:
+        lengths = enumerate_naive(nfa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lengths == (1,)
+    assert peak < 0.3 * (1 << 20)
 
 
 def test_enumerate_membership_matches_accepts_length():

@@ -76,7 +76,8 @@ def vectors_and_rows(draw):
     """A bit vector, the rows it picks from, and whether to pass tables.
 
     The vector's lowest set bit sits at any offset, and it has either at
-    most 64 set bits (the kernel's bit walk) or more (its byte loops).
+    most 64 set bits (the kernel's bit walk) or more (its table loop when
+    given tables, else the walk).
     """
     dense = draw(st.booleans())
     dim = draw(st.integers(65 if dense else 1, 400))
@@ -127,6 +128,22 @@ def test_every_filled_table_entry_is_the_or_of_its_byte(case):
     row, brows, _ = case
     tables = [None] * ((len(brows) + 7) >> 3)
     assert _row_times(row, brows, tables) == picked_or(row, brows)
+    assert_tables_hold_their_bytes(tables, brows)
+
+
+@given(st.data())
+def test_tables_shared_across_vectors_stay_exact(data):
+    # simulate keeps one set of tables per symbol for a whole word, so
+    # different vectors times the same rows read each other's entries
+    row, brows, _ = data.draw(vectors_and_rows())
+    dim = len(brows)
+    tables = [None] * ((dim + 7) >> 3)
+    assert _row_times(row, brows, tables) == picked_or(row, brows)
+    rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        count = rng.randint(1, dim)
+        other = sum(1 << k for k in rng.sample(range(dim), count))
+        assert _row_times(other, brows, tables) == picked_or(other, brows)
     assert_tables_hold_their_bytes(tables, brows)
 
 

@@ -10,6 +10,7 @@ from nfakit import (
     enumerate_fast,
     has_triangle_brute,
     has_triangle_matmul,
+    mul_calls,
     ov_brute,
     reduce_ov,
     reduce_triangle,
@@ -99,6 +100,13 @@ def test_brute_trivials():
     assert not has_triangle_brute(P5)
     assert has_triangle_matmul(K3)
     assert not has_triangle_matmul(C4)
+
+
+def test_matmul_triangle_check_makes_one_product():
+    for graph in (K3, C4, P5):
+        before = mul_calls()
+        has_triangle_matmul(graph)
+        assert mul_calls() - before == 1
 
 
 def accepting_paths(nfa):
