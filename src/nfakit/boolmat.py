@@ -97,34 +97,33 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
     """Row vector times a**e: bit j is set iff some set bit i of row has
     a**e entry (i, j).
 
-    Walks the bits of e from low to high, folding a**(2**j) into the vector
-    where bit j is set, so the only matrix products are the squarings, at
-    most floor(log2 e) of them. Squaring stops once the vector is zero, and
-    once a square equals an earlier one: the squares then cycle, and the
-    rest are read from those already made.
+    First walks the vector by a, one step at a time, until it is zero, e is
+    spent or it repeats; a repeat reduces e modulo the period and reads the
+    result from the walk. A vector with one set bit takes at most dim
+    values, so its walk repeats or dies within dim + 1 vectors, and the
+    walk checks no more. Any exponent left goes to squarings, low bit
+    first, folding a**(2**j) into the vector where bit j is set: at most
+    floor(log2 e) products, with one square kept at a time.
     """
     _check_exponent(e)
     if not isinstance(row, int) or row < 0 or row >> a.dim:
         raise ValueError(f"row must be an integer with bits in columns 0..{a.dim - 1}")
+    seen = {}  # each vector of the walk, to the step it was first met at
+    while row and e and len(seen) <= a.dim:
+        if row in seen:
+            start = seen[row]
+            return list(seen)[start + e % (len(seen) - start)]
+        seen[row] = len(seen)
+        row = _row_times(row, a.rows)
+        e -= 1
     square = a
-    squares = []  # rows of a**(2**j) for j = 0, 1, ... until one repeats
-    first_index = {}  # keyed on the rows themselves, so a repeat is exact
-    period = 0
-    for j in range(e.bit_length()):
-        if not row:
-            break
-        if not period:
-            if j:
-                square = mul(square, square)
-            start = first_index.setdefault(square.rows, j)
-            if start < j:
-                period = j - start
-            else:
-                squares.append(square.rows)
-        rows = squares[start + (j - start) % period] if period else squares[j]
-        if e >> j & 1:
-            row = _row_times(row, rows)
-    return row
+    while True:
+        if e & 1:
+            row = _row_times(row, square.rows)
+        e >>= 1
+        if not (row and e):
+            return row
+        square = mul(square, square)
 
 
 def _row_times(row, brows, tables=None):
@@ -136,7 +135,8 @@ def _row_times(row, brows, tables=None):
     # ORs one Four Russians entry per nonzero byte (see _fill_entry). The
     # tables belong to brows, so whoever multiplies by the same rows many
     # times holds them: a product for all its rows (_mul_rows_packed),
-    # simulate for all the steps on one symbol
+    # simulate for all the steps on one symbol. row_times_power's walk holds
+    # none, so its heap stays at the vectors it has met
     count = row.bit_count()
     if count == 1:
         return brows[row.bit_length() - 1]
@@ -181,8 +181,8 @@ def _mul_rows_packed(arows, brows, dim):
     # Four Russians tables: tables[g][byte] is the OR of the rows 8g + k of b
     # over the set bits k of byte, made on first use from a smaller entry with
     # one OR (see _fill_entry). The tables go with the product, since b's rows
-    # are not used again; row_times_power makes at most one fold-in per bit
-    # of the exponent, so it holds none and its fold-ins walk
+    # are not used again. row_times_power holds none, so that the heap of
+    # its walk stays bounded; its steps and fold-ins walk
     tables = [None] * ((dim + 7) >> 3)
     return [_row_times(row, brows, tables) if row else 0 for row in arows]
 

@@ -84,9 +84,10 @@ def periodic_nfa(rng, n, p, final_class):
     return Nfa(n, ("a",), 0, finals, frozenset(transitions))
 
 
-def test_accepts_length_stops_squaring_once_squares_repeat():
-    # power() makes about 90 products at these lengths; the squares of a
-    # periodic matrix start to cycle after a few, so far fewer are made
+def test_accepts_length_makes_no_products_once_the_frontier_repeats():
+    # power() makes about 90 products at these lengths; the start state's
+    # frontier in these periodic matrices repeats within 14 steps, with
+    # period p, so the walk reads the answer with no product at all
     rng = seeded(35)
     verdicts = set()
     for p in (2, 3, 5, 7):
@@ -95,11 +96,47 @@ def test_accepts_length_stops_squaring_once_squares_repeat():
         nfa = periodic_nfa(rng, rng.randint(290, 310), p, final_class)
         before = mul_calls()
         got = accepts_length(nfa, ell)
-        assert mul_calls() - before <= 20
+        assert mul_calls() - before == 0
         finals = sum(1 << q for q in nfa.finals)
         assert got == bool(power(adjacency_matrix(nfa), ell).rows[nfa.start] & finals)
         verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_accepts_length_on_a_ring_stays_within_the_squarings_of_its_size():
+    # a one-bit frontier on a 40-state ring comes back to the start after
+    # exactly 40 steps, so only a walk that checks dim + 1 vectors sees the
+    # repeat; the products left must not exceed those of a 40-step length
+    nfa = Nfa(40, ("a",), 0, frozenset({7, 20}), {(q, "a", (q + 1) % 40) for q in range(40)})
+    a = adjacency_matrix(nfa)
+    verdicts = set()
+    for ell in ((1 << 63) - 1, (1 << 62) + 7, 1 << 63):
+        before = mul_calls()
+        got = accepts_length(nfa, ell)
+        assert mul_calls() - before <= 5  # floor(log2 40)
+        assert got == bool(power(a, ell).rows[0] & (1 << 7 | 1 << 20))
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_accepts_length_heap_stays_small_on_a_cycle_with_chords():
+    # one dense matrix of 2048 states is about 0.5 MiB: the bound has room
+    # for the vectors of a walk and a few squares, not for every square of
+    # the exponent (17.4 MiB)
+    n = 2048
+    rng = seeded(5)
+    transitions = {(q, "a", (q + 1) % n) for q in range(n)}
+    for _ in range(n // 8):
+        transitions.add((rng.randrange(n), "a", rng.randrange(n)))
+    nfa = Nfa(n, ("a",), 0, frozenset({n - 1}), frozenset(transitions))
+    tracemalloc.start()
+    try:
+        accepted = accepts_length(nfa, (1 << 63) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert accepted
+    assert peak < 2 << 20
 
 
 # ---------------------------------------------------------------------------

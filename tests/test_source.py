@@ -88,6 +88,6 @@ def test_traced_benchmark_targets_resolve():
         for module, attribute, _span in targets
         if not hasattr(importlib.import_module(module), attribute)
     }
-    # accept no longer imports boolmat.power: accepts_length squares
+    # accept no longer imports boolmat.power: accepts_length goes
     # through row_times_power
     assert unresolved <= {("nfakit.accept", "power")}
