@@ -4,7 +4,7 @@ and the quadratic-per-step baseline enumeration for unary acyclic NFAs."""
 from __future__ import annotations
 
 from .automata import Nfa, _successor_rows, adjacency_matrix, finals_mask, require_unary_acyclic
-from .boolmat import _row_times, row_times_power
+from .boolmat import _new_tables, _row_times, row_times_power
 
 Word = str
 
@@ -37,7 +37,7 @@ def simulate(nfa: Nfa, word: Word) -> bool:
     for ch in word:  # all of it, before a step can end the run early
         if ch not in steps:
             raise SymbolNotInAlphabetError(f"symbol {ch!r} not in alphabet")
-    tables = {ch: [None] * ((nfa.state_count + 7) >> 3) for ch in steps}
+    tables = {ch: _new_tables(nfa.state_count) for ch in steps}
     frontier = 1 << nfa.start
     for ch in word:
         shift, exceptions, rows = steps[ch]

@@ -176,6 +176,12 @@ def _fill_entry(table, byte, brows, base):
     return entry
 
 
+def _new_tables(dim):
+    # an empty set of Four Russians tables for dim rows: one slot per group
+    # of 8 rows, filled with a 256-entry table on the group's first use
+    return [None] * ((dim + 7) >> 3)
+
+
 def _mul_rows_packed(arows, brows, dim):
     # result row i = row i of a times b. The dense rows of a share one set of
     # Four Russians tables: tables[g][byte] is the OR of the rows 8g + k of b
@@ -183,7 +189,7 @@ def _mul_rows_packed(arows, brows, dim):
     # one OR (see _fill_entry). The tables go with the product, since b's rows
     # are not used again. row_times_power holds none, so that the heap of
     # its walk stays bounded; its steps and fold-ins walk
-    tables = [None] * ((dim + 7) >> 3)
+    tables = _new_tables(dim)
     return [_row_times(row, brows, tables) if row else 0 for row in arows]
 
 

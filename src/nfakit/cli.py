@@ -33,13 +33,14 @@ import time
 from dataclasses import fields
 
 from .accept import SymbolNotInAlphabetError, accepts_length, enumerate_naive, simulate
-from .automata import Graph, Nfa, NotAcyclicError, NotUnaryError, validate
+from .automata import Graph, Nfa, NotAcyclicError, NotUnaryError, _is_symbol, validate
 from .boolmat import mul_calls
 from .enumeration import enumerate_fast
 from .reductions import (
     OvInstance,
     has_triangle_brute,
     has_triangle_matmul,
+    ov_state_count,
     reduce_ov,
     reduce_triangle,
 )
@@ -114,7 +115,7 @@ def parse_nfa(text: str) -> Nfa:
                     )
             elif key == "alphabet":
                 for sym in tokens[1:]:
-                    if len(sym) != 1 or not sym.isprintable():
+                    if not _is_symbol(sym):
                         raise ParseError(f"invalid symbol {sym!r}", line)
                 if len(set(tokens[1:])) != len(tokens) - 1:
                     raise ParseError("duplicate alphabet symbol", line)
@@ -203,8 +204,7 @@ def parse_ov(text: str) -> OvInstance:
     line, n, d, lines = _first_line(text, "vectors", "<n> <d>", "vector count", "dimension")
     if n < 1 or d < 1:
         raise ParseError(f"need n >= 1 and d >= 1, got n={n}, d={d}", line)
-    # reduce_ov builds two paths of (n-1)(d+2)+1 states, n gadgets of d, x and y
-    states = 2 * ((n - 1) * (d + 2) + 1) + n * d + 2
+    states = ov_state_count(n, d)
     if states > MAX_STATES:
         raise ParseError(f"n={n}, d={d} reduces to {states} states, more than {MAX_STATES}", line)
     if len(lines) != 2 * n:

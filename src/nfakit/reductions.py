@@ -22,17 +22,14 @@ BITS = ("0", "1")
 
 @dataclass(frozen=True)
 class TriangleReduction:
-    """Four-layer unary NFA built from a graph.
+    """Four-layer unary NFA built from a graph (layout: `reduce_triangle`).
 
-    State (j-1)*n + i is copy i of the graph's vertex set in layer j
-    (layers 1..4); layer_of[state] gives that (layer, vertex) pair.
     A word of length target_length = n + 2 is accepted iff the graph
     has a triangle.
     """
 
     nfa: Nfa
     target_length: int
-    layer_of: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -59,30 +56,31 @@ class OvInstance:
 
 @dataclass(frozen=True)
 class OvReduction:
-    """Acyclic NFA plus the one input word it is meant to read.
+    """Acyclic NFA plus the one input word it is meant to read (layout:
+    `reduce_ov`).
 
     The word is 00w_1 00w_2 ... 00w_n and is accepted iff some pair
-    (v_i, w_j) has boolean dot product zero. Landmark state ids:
-    a_states[j-1] is the top-path drop-off point for block j, x fans out
-    to the gadget starts, y collects gadget exits, b_states[j-1] is the
-    bottom-path re-entry point after block j (j < n; block n ends on y).
+    (v_i, w_j) has boolean dot product zero.
     """
 
     nfa: Nfa
     input: str
-    a_states: tuple[int, ...]
-    x_state: int
-    y_state: int
-    b_states: tuple[int, ...]
-    gadget_starts: tuple[int, ...]
+
+
+def ov_state_count(n: int, d: int) -> int:
+    """States of reduce_ov's NFA for n vectors of dimension d: a top and a
+    bottom path of (n-1)(d+2)+1 states each, n gadgets of d, x and y."""
+    return 2 * ((n - 1) * (d + 2) + 1) + n * d + 2
 
 
 def reduce_triangle(graph: Graph) -> TriangleReduction:
     """Build the four-layer unary NFA deciding triangle existence.
 
-    Layer 1 and layer 4 carry forward chains over the vertex copies; every
-    undirected edge {u, v} contributes both directed crossings u -> v and
-    v -> u between consecutive layers 1->2, 2->3 and 3->4. The start is
+    State (j-1)*n + i is copy i of the graph's vertex set in layer j
+    (layers 1..4), so divmod(state, n) gives (j - 1, i). Layer 1 and
+    layer 4 carry forward chains over the vertex copies; every undirected
+    edge {u, v} contributes both directed crossings u -> v and v -> u
+    between consecutive layers 1->2, 2->3 and 3->4. The start is
     vertex 0's copy in layer 1 and the sole final state is vertex n-1's
     copy in layer 4, so the automaton has exactly 4n states and
     2(n-1) + 6m transitions.
@@ -103,8 +101,7 @@ def reduce_triangle(graph: Graph) -> TriangleReduction:
         finals=frozenset({4 * n - 1}),
         transitions=transitions,
     )
-    layer_of = tuple((q // n + 1, q % n) for q in range(4 * n))
-    return TriangleReduction(nfa=nfa, target_length=n + 2, layer_of=layer_of)
+    return TriangleReduction(nfa=nfa, target_length=n + 2)
 
 
 def _graph_matrix(graph: Graph) -> BoolMatrix:
@@ -146,15 +143,16 @@ def ov_brute(inst: OvInstance) -> bool:
 def reduce_ov(inst: OvInstance) -> OvReduction:
     """Build the acyclic NFA that accepts 00w_1...00w_n iff a pair is orthogonal.
 
-    Layout, with T = (n-1)(d+2) + 1:
+    Layout, with T = (n-1)(d+2) + 1, ov_state_count(n, d) states in all:
       0 .. T-1          top path, every step on either symbol; a_j at
-                        offset (j-1)(d+2)
-      T                 x, reached from every a_j, fans out to gadgets
+                        offset (j-1)(d+2) steps to x on either symbol
+      T                 x, fans out to the gadget starts T+1+(i-1)d
       T+1 .. T+n*d      gadget chains, d states each; step k of gadget i
                         requires input '0' where v_i[k] = 1 and accepts
                         either symbol where v_i[k] = 0; the last step
                         lands on y
       T+n*d+1           y, final (covers j = n), fans out to every b_j
+                        with j < n
       y+1 .. y+T        bottom path; b_j at offset (j-1)(d+2) + 1; its
                         last state is the other final
 
@@ -168,21 +166,19 @@ def reduce_ov(inst: OvInstance) -> OvReduction:
     block = d + 2
     top = (n - 1) * block + 1
     x = top
-    gadget_starts = tuple(top + 1 + i * d for i in range(n))
     y = top + 1 + n * d
     bottom = y + 1
+    state_count = ov_state_count(n, d)
     transitions = set()
     for s in range(top - 1):
         for ch in BITS:
             transitions.add((s, ch, s + 1))
-    a_states = tuple((j - 1) * block for j in range(1, n + 1))
-    for a in a_states:
+    for a in range(0, top, block):  # a_1 .. a_n
         for ch in BITS:
             transitions.add((a, ch, x))
-    for g in gadget_starts:
+    for g, vec in zip(range(top + 1, y, d), inst.v):  # gadget starts
         for ch in BITS:
             transitions.add((x, ch, g))
-    for g, vec in zip(gadget_starts, inst.v):
         for pos, bit in enumerate(vec):
             dst = y if pos == d - 1 else g + pos + 1
             if bit:
@@ -190,27 +186,18 @@ def reduce_ov(inst: OvInstance) -> OvReduction:
             else:
                 for ch in BITS:
                     transitions.add((g + pos, ch, dst))
-    b_states = tuple(bottom + (j - 1) * block + 1 for j in range(1, n))
-    for b in b_states:
+    for b in range(bottom + 1, state_count - 1, block):  # b_1 .. b_(n-1)
         for ch in BITS:
             transitions.add((y, ch, b))
-    for s in range(bottom, bottom + top - 1):
+    for s in range(bottom, state_count - 1):
         for ch in BITS:
             transitions.add((s, ch, s + 1))
     nfa = Nfa(
-        state_count=bottom + top,
+        state_count=state_count,
         alphabet=BITS,
         start=0,
-        finals=frozenset({y, bottom + top - 1}),
+        finals=frozenset({y, state_count - 1}),
         transitions=transitions,
     )
     word = "".join("00" + "".join(str(bit) for bit in wj) for wj in inst.w)
-    return OvReduction(
-        nfa=nfa,
-        input=word,
-        a_states=a_states,
-        x_state=x,
-        y_state=y,
-        b_states=b_states,
-        gadget_starts=gadget_starts,
-    )
+    return OvReduction(nfa=nfa, input=word)

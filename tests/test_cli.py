@@ -13,6 +13,7 @@ from nfakit.cli import (
     random_layered_nfa,
     serialize_nfa,
 )
+from nfakit.reductions import ov_state_count
 
 C4_GRAPH = "4 4\n0 1\n1 2\n2 3\n3 0\n"
 K3_GRAPH = "3 3\n0 1\n1 2\n0 2\n"
@@ -61,6 +62,10 @@ def test_nfa_parser_errors_carry_line_numbers():
         parse_nfa("states 2\nalphabet a\nstart 5\nfinal 1\n")
     with pytest.raises(ParseError):
         parse_nfa("states 2\nalphabet a b\nstart 0\nfinal 1\n0 c 1\n")
+    for sym in ("ab", "\u200b"):  # two characters; not printable
+        with pytest.raises(ParseError) as err:
+            parse_nfa(f"states 1\nalphabet a {sym}\nstart 0\nfinal 0\n")
+        assert (err.value.line, err.value.message) == (2, f"invalid symbol {sym!r}")
 
 
 def test_graph_parser():
@@ -228,6 +233,21 @@ def test_ov_state_cap_is_checked_at_the_header(tmp_path, capsys):
     assert main(["reduce-ov", vectors, str(out)]) == 0
     capsys.readouterr()
     assert parse_nfa(out.read_text()).state_count == MAX_STATES
+
+
+def test_ov_header_is_refused_exactly_above_the_state_cap():
+    # header-only text: a refused header stops at line 1, an allowed one
+    # goes on to miss its vector lines, so nothing per state is allocated
+    for n in (3, 4, 9, 14, 34, 100):
+        d = max(d for d in range(1, MAX_STATES) if ov_state_count(n, d) <= MAX_STATES)
+        if n in (4, 9, 14, 34):
+            assert ov_state_count(n, d) == MAX_STATES
+        for dim in (d - 1, d, d + 1):
+            with pytest.raises(ParseError) as err:
+                parse_ov(f"{n} {dim}\n")
+            refused = err.value.line == 1
+            assert refused == (ov_state_count(n, dim) > MAX_STATES)
+            assert ("states, more than" in err.value.message) == refused
 
 
 def test_files_that_are_not_utf8_exit_2_naming_the_line(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nfakit import Nfa, OvInstance, ov_brute, reduce_ov, simulate
 from nfakit.automata import _successor_rows
-from nfakit.boolmat import _row_times
+from nfakit.boolmat import _new_tables, _row_times
 from nfakit.cli import parse_nfa, serialize_nfa
 
 # '#' starts a comment line in NFA files, so it is worth a round trip
@@ -99,7 +99,7 @@ def test_row_times_is_the_or_of_the_picked_rows(case):
     for k in range(len(brows)):
         if row >> k & 1:
             expected |= brows[k]
-    tables = [None] * ((len(brows) + 7) >> 3) if with_tables else None
+    tables = _new_tables(len(brows)) if with_tables else None
     assert _row_times(row, brows, tables) == expected
     # a second call reads the table entries the first one filled
     assert _row_times(row, brows, tables) == expected
@@ -126,7 +126,7 @@ def assert_tables_hold_their_bytes(tables, brows):
 @given(vectors_and_rows())
 def test_every_filled_table_entry_is_the_or_of_its_byte(case):
     row, brows, _ = case
-    tables = [None] * ((len(brows) + 7) >> 3)
+    tables = _new_tables(len(brows))
     assert _row_times(row, brows, tables) == picked_or(row, brows)
     assert_tables_hold_their_bytes(tables, brows)
 
@@ -137,7 +137,7 @@ def test_tables_shared_across_vectors_stay_exact(data):
     # different vectors times the same rows read each other's entries
     row, brows, _ = data.draw(vectors_and_rows())
     dim = len(brows)
-    tables = [None] * ((dim + 7) >> 3)
+    tables = _new_tables(dim)
     assert _row_times(row, brows, tables) == picked_or(row, brows)
     rng = random.Random(data.draw(st.integers(0, 1 << 32)))
     for _ in range(data.draw(st.integers(1, 6))):

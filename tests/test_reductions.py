@@ -18,6 +18,7 @@ from nfakit import (
     trim,
     validate,
 )
+from nfakit.reductions import ov_state_count
 
 from conftest import all_graphs, random_graph, seeded
 
@@ -67,9 +68,6 @@ def test_edgeless_reduction_has_empty_language():
 
 def test_layer_map():
     red = reduce_triangle(K3)
-    assert red.layer_of[0] == (1, 0)
-    assert red.layer_of[5] == (2, 2)
-    assert red.layer_of[11] == (4, 2)
     assert red.nfa.start == 0
     assert red.nfa.finals == frozenset({11})
 
@@ -130,8 +128,9 @@ def test_accepting_path_lengths_follow_the_layer_identity():
         red = reduce_triangle(g)
         count = 0
         for path in accepting_paths(red.nfa):
-            first_bottom = next(red.layer_of[s][1] for s in path if red.layer_of[s][0] == 4)
-            last_top = max(red.layer_of[s][1] for s in path if red.layer_of[s][0] == 1)
+            layers = [divmod(s, n) for s in path]  # (layer - 1, vertex)
+            first_bottom = next(vertex for layer, vertex in layers if layer == 3)
+            last_top = max(vertex for layer, vertex in layers if layer == 0)
             assert len(path) - 1 == last_top + 3 + (n - 1) - first_bottom
             count += 1
         if g.edges:
@@ -205,17 +204,35 @@ def test_ov_reduction_sizes_stay_linear():
         assert len(red.nfa.transitions) <= 20 * n * d
 
 
+def successors(nfa, state, symbol=None):
+    return {
+        dst for src, sym, dst in nfa.transitions if src == state and symbol in (None, sym)
+    }
+
+
 def test_ov_landmarks():
-    inst = OvInstance(2, 1, ((1,), (0,)), ((1,), (0,)))
-    red = reduce_ov(inst)
-    block = inst.d + 2
-    top = (inst.n - 1) * block + 1
-    assert red.a_states == (0, block)
-    assert red.x_state == top
-    assert red.gadget_starts == (top + 1, top + 2)
-    assert red.y_state == top + 3
-    assert red.b_states == (red.y_state + 1 + 1,)
-    assert red.nfa.finals == frozenset({red.y_state, red.y_state + top})
+    # the states reduce_ov's docstring names, checked on its transitions
+    rng = seeded(46)
+    for n, d in ((1, 1), (2, 1), (3, 2), (4, 5)):
+        red = reduce_ov(random_ov_instance(rng, n, d))
+        nfa = red.nfa
+        block = d + 2
+        top = (n - 1) * block + 1
+        x, y = top, top + 1 + n * d
+        for j in range(n):
+            a = j * block
+            for ch in ("0", "1"):
+                assert x in successors(nfa, a, ch)
+        assert successors(nfa, x) == {x + 1 + i * d for i in range(n)}
+        assert successors(nfa, y) == {y + 1 + j * block + 1 for j in range(n - 1)}
+        assert nfa.finals == {y, nfa.state_count - 1}
+        assert nfa.state_count - 1 == y + top
+
+
+def test_ov_state_count_is_the_reductions_size():
+    for n, d in product(range(1, 13), repeat=2):
+        inst = OvInstance(n, d, ((0,) * d,) * n, ((1,) * d,) * n)
+        assert ov_state_count(n, d) == reduce_ov(inst).nfa.state_count
 
 
 def test_ov_instance_validation():

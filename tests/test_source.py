@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "nfakit"
@@ -69,6 +70,19 @@ def test_only_automata_and_cli_read_transitions():
         if isinstance(node, ast.Attribute) and node.attr == "transitions"
     ]
     assert found == []
+
+
+def test_only_boolmat_builds_four_russians_tables():
+    # boolmat._new_tables owns the tables' shape, one slot per group of 8
+    # rows: [None] * ((dim + 7) >> 3); products and simulate call it
+    shape = re.compile(r"\[None\] \* \(.*>> 3\)")
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp) and shape.fullmatch(ast.unparse(node))
+    ]
+    assert len(found) == 1 and found[0].startswith("boolmat.py:")
 
 
 def test_traced_benchmark_targets_resolve():
