@@ -33,15 +33,17 @@ def simulate(nfa: Nfa, word: Word) -> bool:
     tables for the run, so an entry filled at one step is read at later
     steps on the same symbol.
     """
-    steps = _successor_rows(nfa)
+    steps = {
+        ch: (shift, exceptions, rows, _new_tables(nfa.state_count))
+        for ch, (shift, exceptions, rows) in _successor_rows(nfa).items()
+    }
     for ch in word:  # all of it, before a step can end the run early
         if ch not in steps:
             raise SymbolNotInAlphabetError(f"symbol {ch!r} not in alphabet")
-    tables = {ch: _new_tables(nfa.state_count) for ch in steps}
     frontier = 1 << nfa.start
     for ch in word:
-        shift, exceptions, rows = steps[ch]
-        frontier = (frontier & shift) << 1 | _row_times(frontier & exceptions, rows, tables[ch])
+        shift, exceptions, rows, tables = steps[ch]
+        frontier = (frontier & shift) << 1 | _row_times(frontier & exceptions, rows, tables)
         if not frontier:
             return False
     return bool(frontier & finals_mask(nfa))

@@ -69,9 +69,10 @@ def mul(a: BoolMatrix, b: BoolMatrix, method: str = "packed") -> BoolMatrix:
         raise ValueError(f"unknown multiplier {method!r}, expected one of {_METHODS}")
     _mul_calls.set(_mul_calls.get() + 1)
     if method == "packed":
-        rows = _mul_rows_packed(a.rows, b.rows, a.dim)
+        tables = _new_tables(a.dim)
+        rows = [_row_times(row, b.rows, tables) for row in a.rows]
     else:
-        rows = _mul_rows_naive(a.rows, b.rows, a.dim)
+        rows = _mul_rows_naive(a.rows, b.rows)
     return BoolMatrix(a.dim, tuple(rows))
 
 
@@ -130,13 +131,14 @@ def _row_times(row, brows, tables=None):
     # row vector times matrix: OR of brows[k] over the set bits k of row.
     # A one-bit row is a lookup. A row with at most 64 set bits, or with no
     # tables, walks its set bits from the top down, so the row gets shorter
-    # at each step. A denser row with tables goes byte by byte over its
-    # set-bit span only, from the lowest nonzero byte to the highest, and
-    # ORs one Four Russians entry per nonzero byte (see _fill_entry). The
-    # tables belong to brows, so whoever multiplies by the same rows many
-    # times holds them: a product for all its rows (_mul_rows_packed),
-    # simulate for all the steps on one symbol. row_times_power's walk holds
-    # none, so its heap stays at the vectors it has met
+    # at each step; a zero row returns 0. A denser row with tables goes byte
+    # by byte over its set-bit span only, from the lowest nonzero byte to the
+    # highest, and ORs one Four Russians entry per nonzero byte (see
+    # _fill_entry). The tables belong to brows, so whoever multiplies by the
+    # same rows many times holds them: mul for the rows of one product only,
+    # since b's rows are not used again, and simulate for all the steps on
+    # one symbol. row_times_power's walk holds none, so its heap stays at
+    # the vectors it has met
     count = row.bit_count()
     if count == 1:
         return brows[row.bit_length() - 1]
@@ -147,10 +149,8 @@ def _row_times(row, brows, tables=None):
             acc |= brows[top]
             row ^= 1 << top
         return acc
-    first = 0  # index of the lowest nonzero byte
-    if not row & 0xFF:  # zero low bytes to skip: worth the shift
-        first = (row & -row).bit_length() - 1 >> 3
-        row >>= first << 3
+    first = (row & -row).bit_length() - 1 >> 3  # index of the lowest nonzero byte
+    row >>= first << 3
     for group, byte in enumerate(row.to_bytes((row.bit_length() + 7) >> 3, "little"), first):
         if byte:
             table = tables[group]
@@ -178,23 +178,14 @@ def _fill_entry(table, byte, brows, base):
 
 def _new_tables(dim):
     # an empty set of Four Russians tables for dim rows: one slot per group
-    # of 8 rows, filled with a 256-entry table on the group's first use
+    # of 8 rows, filled with a 256-entry table on the group's first use;
+    # tables[g][byte] is the OR of rows 8g + k over the set bits k of byte
     return [None] * ((dim + 7) >> 3)
 
 
-def _mul_rows_packed(arows, brows, dim):
-    # result row i = row i of a times b. The dense rows of a share one set of
-    # Four Russians tables: tables[g][byte] is the OR of the rows 8g + k of b
-    # over the set bits k of byte, made on first use from a smaller entry with
-    # one OR (see _fill_entry). The tables go with the product, since b's rows
-    # are not used again. row_times_power holds none, so that the heap of
-    # its walk stays bounded; its steps and fold-ins walk
-    tables = _new_tables(dim)
-    return [_row_times(row, brows, tables) if row else 0 for row in arows]
-
-
-def _mul_rows_naive(arows, brows, dim):
+def _mul_rows_naive(arows, brows):
     # scalar triple loop, kept as the slow reference multiplier
+    dim = len(arows)
     out = []
     for i in range(dim):
         row = 0

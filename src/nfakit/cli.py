@@ -94,7 +94,7 @@ _NFA_HEADERS = ("states", "alphabet", "start", "final")
 
 
 def parse_nfa(text: str) -> Nfa:
-    state_count = alphabet = start = finals = None
+    state_count = alphabet = symbols = start = finals = None
     header_lines: dict[str, int] = {}  # header key -> its line number
     transitions = []
     for line, tokens in _content_lines(text):
@@ -117,9 +117,9 @@ def parse_nfa(text: str) -> Nfa:
                 for sym in tokens[1:]:
                     if not _is_symbol(sym):
                         raise ParseError(f"invalid symbol {sym!r}", line)
-                if len(set(tokens[1:])) != len(tokens) - 1:
+                alphabet, symbols = tuple(tokens[1:]), set(tokens[1:])
+                if len(symbols) != len(alphabet):
                     raise ParseError("duplicate alphabet symbol", line)
-                alphabet = tuple(tokens[1:])
             elif key == "start":
                 if len(tokens) != 2:
                     raise ParseError("expected 'start <id>'", line)
@@ -134,7 +134,7 @@ def parse_nfa(text: str) -> Nfa:
             src = _int_token(tokens[0], "source state", line)
             sym = tokens[1]
             dst = _int_token(tokens[2], "target state", line)
-            if sym not in alphabet:
+            if sym not in symbols:
                 raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
             if not (0 <= src < state_count and 0 <= dst < state_count):
                 raise ParseError("transition state out of range", line)

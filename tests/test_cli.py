@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -66,6 +67,18 @@ def test_nfa_parser_errors_carry_line_numbers():
         with pytest.raises(ParseError) as err:
             parse_nfa(f"states 1\nalphabet a {sym}\nstart 0\nfinal 0\n")
         assert (err.value.line, err.value.message) == (2, f"invalid symbol {sym!r}")
+
+
+def test_nfa_parser_is_linear_in_a_large_alphabet():
+    # a 240 KB file: 20,000 symbols, one transition on each; checking every
+    # transition's symbol against the alphabet as a sequence took seconds
+    symbols = [chr(0x4E00 + i) for i in range(20_000)]
+    text = "states 2\nalphabet " + " ".join(symbols) + "\nstart 0\nfinal 1\n"
+    text += "".join(f"0 {sym} 1\n" for sym in symbols)
+    begin = time.perf_counter()
+    nfa = parse_nfa(text)
+    assert time.perf_counter() - begin < 1.0
+    assert len(nfa.alphabet) == len(nfa.transitions) == 20_000
 
 
 def test_graph_parser():

@@ -159,10 +159,14 @@ def wide_vectors():
     yield from ((0, 8191), (29, 30), (30, 8190), (8190, 8191))
     for count in (64, 65):
         yield EDGE_BITS + tuple(rng.sample(others, count - len(EDGE_BITS)))
+    # dense with no bit in byte 0, so the table loop starts past it
+    yield tuple(sorted(rng.sample(range(8, WIDE_DIM), 65)))
 
 
 def wide_id(bits):
-    return "bits-" + "-".join(map(str, bits)) if len(bits) <= 2 else f"{len(bits)}-bits"
+    if len(bits) <= 2:
+        return "bits-" + "-".join(map(str, bits))
+    return f"{len(bits)}-bits" + (f"-from-{min(bits)}" if min(bits) else "")
 
 
 @pytest.mark.parametrize("bits", list(wide_vectors()), ids=wide_id)
@@ -173,7 +177,7 @@ def test_row_times_on_wide_vectors_with_edge_bits(bits):
     row = sum(1 << k for k in bits)
     expected = picked_or(row, brows)
     assert _row_times(row, brows) == expected
-    tables = [None] * (WIDE_DIM >> 3)
+    tables = _new_tables(WIDE_DIM)
     assert _row_times(row, brows, tables) == expected
     assert_tables_hold_their_bytes(tables, brows)
     # a second call reads the entries the first one filled

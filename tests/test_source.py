@@ -2,7 +2,11 @@
 
 import ast
 import importlib
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "nfakit"
@@ -105,3 +109,18 @@ def test_traced_benchmark_targets_resolve():
     # accept no longer imports boolmat.power: accepts_length goes
     # through row_times_power
     assert unresolved <= {("nfakit.accept", "power")}
+
+
+def test_benchmark_selfcheck_passes_on_a_copy(tmp_path):
+    # the benchmark imports nfakit from its checkout's src/, so a change to
+    # the package that breaks the harness fails here, on a copy of both
+    root = SOURCE.parent.parent
+    for name in ("src", "perfbench"):
+        shutil.copytree(root / name, tmp_path / name, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selfcheck.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
