@@ -29,12 +29,12 @@ def simulate(nfa: Nfa, word: Word) -> bool:
 
     A step is Shift-And: the frontier's states with an edge p -> p+1 on
     the symbol move by one shift, and only those with other edges on it
-    go through the row kernel. Each symbol keeps one set of Four Russians
-    tables for the run, so an entry filled at one step is read at later
-    steps on the same symbol.
+    go through the row kernel. Each symbol keeps Four Russians tables up
+    to its highest state with other edges, for the run: an entry filled
+    at one step is read at later steps on the same symbol.
     """
     steps = {
-        ch: (shift, exceptions, rows, _new_tables(nfa.state_count))
+        ch: (shift, exceptions, rows, _new_tables(exceptions.bit_length()))
         for ch, (shift, exceptions, rows) in _successor_rows(nfa).items()
     }
     for ch in word:  # all of it, before a step can end the run early

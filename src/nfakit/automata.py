@@ -201,29 +201,31 @@ def trim(nfa: Nfa) -> Nfa:
     return Nfa(len(keep), nfa.alphabet, remap[nfa.start], finals, transitions)
 
 
-def _successor_rows(nfa: Nfa) -> dict[Symbol, tuple[int, int, list[int]]]:
+def _successor_rows(nfa: Nfa) -> dict[Symbol, tuple[int, int, dict[int, int]]]:
     """Encode transitions as the Shift-And table that `simulate` steps by.
 
     Per symbol it gives (shift, exceptions, rows): bit p of shift is set
-    iff p -sym-> p+1, bit q of rows[p] is set iff p -sym-> q for any other
-    q, and bit p of exceptions is set iff rows[p] is not empty. Built per
-    call and never stored. Chain edges live only in the shift mask, so a
-    chain's rows stay empty; its full rows would take n(n-1)/2 bits.
+    iff p -sym-> p+1, bit q of rows[p] is set iff p -sym-> q and q != p+1,
+    and exceptions holds the keys of rows. Built per call and never
+    stored. A chain needs no rows; its full rows would take n(n-1)/2 bits.
     """
-    n = nfa.state_count
-    size = (n + 7) >> 3
-    table = {sym: (bytearray(size), bytearray(size), [0] * n) for sym in nfa.alphabet}
+    table = {sym: ([], {}) for sym in nfa.alphabet}
     for src, sym, dst in nfa.transitions:
-        shift, exceptions, rows = table[sym]
+        chain, rows = table[sym]
         if dst == src + 1:
-            shift[src >> 3] |= 1 << (src & 7)
+            chain.append(src)
         else:
-            rows[src] |= 1 << dst
-            exceptions[src >> 3] |= 1 << (src & 7)
-    return {
-        sym: (int.from_bytes(shift, "little"), int.from_bytes(exceptions, "little"), rows)
-        for sym, (shift, exceptions, rows) in table.items()
-    }
+            rows[src] = rows.get(src, 0) | 1 << dst
+    n = nfa.state_count
+    return {sym: (_mask(chain, n), _mask(rows, n), rows) for sym, (chain, rows) in table.items()}
+
+
+def _mask(states: Iterable[StateId], n: int) -> int:
+    # bit q set for each state q < n of states: the one bytearray-to-int builder
+    bits = bytearray((n + 7) >> 3)
+    for q in states:
+        bits[q >> 3] |= 1 << (q & 7)
+    return int.from_bytes(bits, "little")
 
 
 def adjacency_matrix(nfa: Nfa) -> BoolMatrix:
@@ -236,7 +238,4 @@ def adjacency_matrix(nfa: Nfa) -> BoolMatrix:
 
 def finals_mask(nfa: Nfa) -> int:
     """Bit q set iff state q is final."""
-    bits = bytearray((nfa.state_count + 7) >> 3)
-    for q in nfa.finals:
-        bits[q >> 3] |= 1 << (q & 7)
-    return int.from_bytes(bits, "little")
+    return _mask(nfa.finals, nfa.state_count)

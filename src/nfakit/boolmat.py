@@ -100,10 +100,10 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
 
     First walks the vector by a, one step at a time, until it is zero, e is
     spent or it repeats; a repeat reduces e modulo the period and reads the
-    result from the walk. A vector with one set bit takes at most dim
-    values, so its walk repeats or dies within dim + 1 vectors, and the
-    walk checks no more. Any exponent left goes to squarings, low bit
-    first, folding a**(2**j) into the vector where bit j is set: at most
+    result from the walk. It checks at most dim + 1 vectors, to bound its
+    heap: a frontier is a set of states, whose period can be the lcm of
+    its cycle lengths. Any exponent left goes to squarings, low bit first,
+    folding a**(2**j) into the vector where bit j is set: at most
     floor(log2 e) products, with one square kept at a time.
     """
     _check_exponent(e)

@@ -119,6 +119,24 @@ def test_accepts_length_on_a_ring_stays_within_the_squarings_of_its_size():
     assert verdicts == {True, False}
 
 
+def test_accepts_length_after_a_walk_that_reaches_its_cap_without_a_repeat():
+    # from state 0 the frontier goes round a 3-cycle and a 5-cycle at once,
+    # so it first repeats at step 16, past the walk's cap of dim + 1 = 10
+    # vectors; squarings then give the answer
+    transitions = {(0, "a", 1), (0, "a", 4), (1, "a", 2), (2, "a", 3), (3, "a", 1)}
+    transitions |= {(q, "a", q + 1) for q in range(4, 8)} | {(8, "a", 4)}
+    nfa = Nfa(9, ("a",), 0, frozenset({3, 8}), frozenset(transitions))
+    a = adjacency_matrix(nfa)
+    verdicts = set()
+    for ell in (10, 11, 12, 16, 30, 10**6, (1 << 63) - 1):
+        before = mul_calls()
+        got = accepts_length(nfa, ell)
+        assert mul_calls() - before <= ell.bit_length() - 1
+        assert got == bool(power(a, ell).rows[0] & (1 << 3 | 1 << 8))
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_accepts_length_heap_stays_small_on_a_cycle_with_chords():
     # one dense matrix of 2048 states is about 0.5 MiB: the bound has room
     # for the vectors of a walk and a few squares, not for every square of
@@ -279,6 +297,24 @@ def test_simulate_heap_stays_small_on_a_max_size_ov_reduction():
         tracemalloc.stop()
     assert accepted
     assert peak < 8 << 20
+
+
+def test_simulate_heap_does_not_grow_with_the_alphabet():
+    # a symbol costs its chain sources and rows, not its share of the
+    # states: 200 symbols over 65,536 states held 112.6 MiB when every
+    # symbol had an n-entry row list and an (n/8)-slot tables list
+    n = 65536
+    alphabet = tuple(chr(c) for c in range(0x100, 0x100 + 200))
+    nfa = Nfa(n, alphabet, 0, frozenset({n - 1}), frozenset({(0, alphabet[0], n - 1)}))
+    tracemalloc.start()
+    try:
+        accepted = simulate(nfa, alphabet[0])
+        rejected = simulate(nfa, alphabet[0] + alphabet[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert accepted and not rejected
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

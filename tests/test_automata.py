@@ -65,6 +65,8 @@ def test_rejects_out_of_range_states():
         Nfa(2, ("a",), 0, frozenset({5}), frozenset())
     with pytest.raises(ValueError):
         Nfa(2, ("a",), 0, frozenset(), frozenset({(0, "a", 7)}))
+    with pytest.raises(ValueError, match="malformed transition"):
+        Nfa(2, ("a",), 0, frozenset(), frozenset({(0, "a")}))
 
 
 def test_rejects_unknown_transition_symbol():
@@ -82,6 +84,8 @@ def test_graph_rejects_self_loop_and_range():
         Graph(3, frozenset({(1, 1)}))
     with pytest.raises(ValueError):
         Graph(2.0, frozenset())
+    with pytest.raises(ValueError, match="vertex_count must be >= 1"):
+        Graph(0, frozenset())
     with pytest.raises(ValueError):
         Graph(3, frozenset({(0, 3)}))
     with pytest.raises(ValueError):

@@ -244,3 +244,5 @@ def test_ov_instance_validation():
         OvInstance(1, 1, ((2,),), ((0,),))
     with pytest.raises(ValueError):
         OvInstance(2.0, 1, ((0,), (1,)), ((1,), (0,)))
+    with pytest.raises(ValueError, match="expected 2 w-vectors"):
+        OvInstance(2, 1, ((0,), (1,)), ((1,),))

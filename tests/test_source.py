@@ -89,6 +89,18 @@ def test_only_boolmat_builds_four_russians_tables():
     assert len(found) == 1 and found[0].startswith("boolmat.py:")
 
 
+def test_only_automata_builds_bit_masks_from_bytes():
+    # automata._mask builds every state mask (finals and both Shift-And
+    # masks) with the package's one int.from_bytes call
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("from_bytes")
+    ]
+    assert len(found) == 1 and found[0].startswith("automata.py:")
+
+
 def test_traced_benchmark_targets_resolve():
     # the traced benchmark run wraps these module attributes and silently
     # skips the ones that are missing, losing those layers' metrics
