@@ -15,6 +15,12 @@ _mul_calls = ContextVar("mul_calls", default=0)
 
 _METHODS = ("packed", "naive")
 
+# A row with at most this many set bits walks them; a denser one takes the
+# table loop when the caller holds tables (see _row_times). 16 read fastest
+# or level in a sweep over 8, 16, 24, 32 and 64 on enumeration, reductions
+# and simulate
+WALK_MAX_BITS = 16
+
 
 @dataclass(frozen=True)
 class BoolMatrix:
@@ -69,8 +75,8 @@ def mul(a: BoolMatrix, b: BoolMatrix, method: str = "packed") -> BoolMatrix:
         raise ValueError(f"unknown multiplier {method!r}, expected one of {_METHODS}")
     _mul_calls.set(_mul_calls.get() + 1)
     if method == "packed":
-        tables = _new_tables(a.dim)
-        rows = [_row_times(row, b.rows, tables) for row in a.rows]
+        tables, memo = _new_tables(a.dim), {}
+        rows = [_row_times(row, b.rows, tables, memo) for row in a.rows]
     else:
         rows = _mul_rows_naive(a.rows, b.rows)
     return BoolMatrix(a.dim, tuple(rows))
@@ -127,31 +133,39 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
         square = mul(square, square)
 
 
-def _row_times(row, brows, tables=None):
+def _row_times(row, brows, tables=None, memo=None):
     # row vector times matrix: OR of brows[k] over the set bits k of row.
-    # A one-bit row is a lookup. A row with at most 64 set bits, or with no
-    # tables, walks its set bits from the top down, so the row gets shorter
-    # at each step; a zero row returns 0. A denser row with tables goes byte
-    # by byte over its set-bit span only, from the lowest nonzero byte to the
-    # highest, and ORs one Four Russians entry per nonzero byte (see
-    # _fill_entry). The tables belong to brows, so whoever multiplies by the
-    # same rows many times holds them: mul for the rows of one product only,
-    # since b's rows are not used again, and simulate for all the steps on
-    # one symbol. row_times_power's walk holds none, so its heap stays at
-    # the vectors it has met
+    # A one-bit row is a lookup. A row with at most WALK_MAX_BITS set bits,
+    # or with no tables, walks its set bits from the top down, so the row
+    # gets shorter at each step; a zero row returns 0. A denser row with
+    # tables goes byte by byte over its set-bit span only, from the lowest
+    # nonzero byte to the highest, and ORs one Four Russians entry per
+    # nonzero byte (see _fill_entry). The tables belong to brows, so whoever
+    # multiplies by the same rows many times holds them: mul for the rows of
+    # one product only, since b's rows are not used again, and simulate for
+    # all the steps on one symbol. row_times_power's walk holds none, so its
+    # heap stays at the vectors it has met. Only mul holds a memo, from each
+    # row that took the table loop, as it came in, to its result, so an
+    # equal row later in A gets the same int back; its keys and values are
+    # rows the product holds anyway. simulate and row_times_power hold none,
+    # as their distinct frontiers are unbounded
     count = row.bit_count()
     if count == 1:
         return brows[row.bit_length() - 1]
     acc = 0
-    if count <= 64 or tables is None:
+    if count <= WALK_MAX_BITS or tables is None:
         while row:
             top = row.bit_length() - 1
             acc |= brows[top]
             row ^= 1 << top
         return acc
+    if memo is not None:
+        hit = memo.get(row)
+        if hit is not None:
+            return hit
     first = (row & -row).bit_length() - 1 >> 3  # index of the lowest nonzero byte
-    row >>= first << 3
-    for group, byte in enumerate(row.to_bytes((row.bit_length() + 7) >> 3, "little"), first):
+    span = row >> (first << 3)
+    for group, byte in enumerate(span.to_bytes((span.bit_length() + 7) >> 3, "little"), first):
         if byte:
             table = tables[group]
             if table is None:
@@ -160,6 +174,8 @@ def _row_times(row, brows, tables=None):
             if entry is None:
                 entry = _fill_entry(table, byte, brows, group << 3)
             acc |= entry
+    if memo is not None:
+        memo[row] = acc
     return acc
 
 

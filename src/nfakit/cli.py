@@ -322,6 +322,10 @@ def cmd_triangle_check(args) -> int:
     return _verdict(found, "TRIANGLE", "TRIANGLE-FREE")
 
 
+# timings per engine and instance in bench; each reported time is their median
+BENCH_REPETITIONS = 5
+
+
 def _median_times(fns, repetitions: int):
     # the repetitions of fns alternate, so a drift in host speed during the
     # run shifts every median alike; returns (median time, last result) pairs
@@ -353,12 +357,11 @@ def cmd_bench(args) -> int:
         for trial in range(trials):
             instance_seed = (seed * 1000003 + n * 1009 + trial) & 0x7FFFFFFF
             nfa = random_layered_nfa(n, instance_seed)
-            repetitions = 5 if n <= 512 else 3
             before = mul_calls()
             (naive_time, naive_result), (fast_time, fast_result) = _median_times(
-                (lambda: enumerate_naive(nfa), lambda: enumerate_fast(nfa)), repetitions
+                (lambda: enumerate_naive(nfa), lambda: enumerate_fast(nfa)), BENCH_REPETITIONS
             )
-            multiplications = (mul_calls() - before) // repetitions
+            multiplications = (mul_calls() - before) // BENCH_REPETITIONS
             agreement = naive_result == fast_result
             print(
                 f"{n},{instance_seed},{naive_time:.6f},{fast_time:.6f},"
@@ -417,8 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parse_args only reads the parser and fills a new
+# Namespace per call, so no call sees another's arguments, and help and
+# usage text are formatted when printed, not when built
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OSError, SymbolNotInAlphabetError, NotUnaryError, NotAcyclicError) as exc:

@@ -2,6 +2,7 @@ import pytest
 
 from nfakit import Nfa, accepts_length
 from nfakit.boolmat import (
+    WALK_MAX_BITS,
     BoolMatrix,
     DimensionMismatchError,
     identity,
@@ -80,11 +81,12 @@ def per_bit_product(arows, brows):
 
 def mixed_matrix(rng, dim):
     """Zero rows, rows with 1..64 set bits, rows with more than 64 set bits,
-    rows of one repeated byte and copies of earlier rows, all in one matrix."""
+    rows of one repeated byte, copies of earlier rows and rows on either
+    side of the kernel's walk/table boundary, all in one matrix."""
     full = (1 << dim) - 1
     rows = []
     for i in range(dim):
-        kind = rng.randrange(5)
+        kind = rng.randrange(6)
         if kind == 0:
             row = 0
         elif kind == 1:
@@ -96,8 +98,11 @@ def mixed_matrix(rng, dim):
         elif kind == 3:
             byte = rng.choice((0xFF, 0xEF, 0x7E, 0xB7, 0x01))
             row = int.from_bytes(bytes([byte]) * (dim // 8 + 1), "little") & full
-        else:
+        elif kind == 4:
             row = rows[rng.randrange(i)] if i else full
+        else:
+            count = rng.choice((WALK_MAX_BITS, WALK_MAX_BITS + 1))
+            row = sum(1 << k for k in rng.sample(range(dim), count))
         rows.append(row)
     return BoolMatrix(dim, tuple(rows))
 
@@ -112,6 +117,7 @@ def test_mul_matches_per_bit_reference_on_dense_rows():
             b = rng.choice((mixed_matrix, random_matrix))(rng, dim)
             counts = [row.bit_count() for row in a.rows]
             assert 0 in counts and any(0 < c <= 64 for c in counts)
+            assert WALK_MAX_BITS in counts and WALK_MAX_BITS + 1 in counts
             dense = [row for row in a.rows if row.bit_count() > 64]
             nbytes = (dim + 7) // 8
             groups = [
@@ -123,6 +129,38 @@ def test_mul_matches_per_bit_reference_on_dense_rows():
             assert len(set(groups)) < len(groups)
             assert mul(a, b).rows == tuple(per_bit_product(a.rows, b.rows))
             assert mul(a, a).rows == tuple(per_bit_product(a.rows, a.rows))
+
+
+def test_mul_shares_one_result_among_equal_dense_rows():
+    # the product keeps the result of each table-loop row of A for the rest
+    # of the product: an equal row gets the very same int back, also when
+    # its lowest set byte is not byte 0, and every result stays exact
+    rng = seeded(117)
+    dim = 120
+    # a permutation matrix, so each product row names exactly the rows picked
+    b = BoolMatrix(dim, tuple(1 << col for col in rng.sample(range(dim), dim)))
+    base = 1 | sum(1 << k for k in rng.sample(range(1, dim - 16), WALK_MAX_BITS + 3))
+    # base and base << 16 are equal once each is shifted down past its zero
+    # low bytes, but their products differ
+    dense = [base, base << 16]
+    for low in (0, 3, 5, 9):
+        count = rng.randint(WALK_MAX_BITS + 1, dim - 8 * low)
+        dense.append(sum(1 << k for k in rng.sample(range(8 * low, dim), count)))
+    assert len(set(dense)) == len(dense)
+    assert all(row.bit_count() > WALK_MAX_BITS for row in dense)
+    assert any(row & 0xFF == 0 for row in dense)
+    sparse = [0, 1 << 7] + [
+        sum(1 << k for k in rng.sample(range(dim), rng.randint(2, WALK_MAX_BITS)))
+        for _ in range(6)
+    ]
+    arows = [dense[i % len(dense)] for i in range(dim - len(sparse))] + sparse
+    rng.shuffle(arows)
+    product = mul(BoolMatrix(dim, arows), b)
+    assert product.rows == mul(BoolMatrix(dim, arows), b, method="naive").rows
+    for row in dense:
+        results = [out for inp, out in zip(arows, product.rows) if inp == row]
+        assert len(results) > 1 and results[0].bit_length() > 64
+        assert all(out is results[0] for out in results)
 
 
 def test_mul_dimension_mismatch():

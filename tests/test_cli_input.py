@@ -3,6 +3,7 @@ called through their module attributes, and hostile files end in an exit
 code, never a traceback."""
 
 import io
+import itertools
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -198,3 +199,79 @@ def test_hostile_files_end_in_an_exit_code(tmp_path):
             assert err.startswith("error: "), (argv, err)
     # the inputs reach every verdict, not only the refusals
     assert all(codes.values()), codes
+
+
+# ---------------------------------------------------------------------------
+# one parser for the process
+
+
+COMMANDS = (
+    "validate",
+    "accept-length",
+    "enumerate",
+    "simulate",
+    "reduce-triangle",
+    "reduce-ov",
+    "triangle-check",
+    "bench",
+)
+USAGE_CASES = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["--bogus"],
+    ["nope"],
+    ["validate"],
+    ["validate", "a", "b"],
+    ["accept-length", "x"],
+    ["enumerate", "x", "--engine"],
+    ["enumerate", "x", "--engine", "slow"],
+    ["triangle-check", "g", "--engine", "fast"],
+    ["bench", "--sizes"],
+    ["bench", "extra"],
+    ["bench", "--trials", "0"],
+    ["bench", "--sizes", "0"],
+    *([command, "--help"] for command in COMMANDS),
+    *([command, "-h"] for command in COMMANDS),
+)
+
+
+def answer(argv):
+    """(exit code, stdout, stderr) of one `main(argv)` call, where an
+    argparse refusal or help exit counts as ("exit", its code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_shared_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
+    # main parses every argv with one parser built at import; each call must
+    # give the exit code, stdout, stderr and output file that a parser built
+    # for that call alone gives, whatever calls came before it
+    def fresh(argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_PARSER", cli.build_parser())
+            return answer(argv)
+
+    out = tmp_path / "out.nfa"
+
+    def written():
+        if not out.exists():
+            return None
+        text = out.read_text(encoding="utf-8")
+        out.unlink()
+        return text
+
+    kinds = set()
+    # hostile_cases rewrites the input file before it yields each argv
+    for argv in itertools.chain(USAGE_CASES, hostile_cases(8117, 300, tmp_path)):
+        shared = answer(argv), written()
+        assert fresh(argv) == shared[0] and written() == shared[1], argv
+        code = shared[0][0]
+        kinds.add("help" if code == ("exit", 0) else "usage" if code == ("exit", 2) else code)
+    # help, usage errors and every verdict of the commands were compared
+    assert kinds == {"help", "usage", 0, 1, 2}, kinds

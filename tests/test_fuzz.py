@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nfakit import Nfa, OvInstance, ov_brute, reduce_ov, simulate
 from nfakit.automata import _successor_rows
-from nfakit.boolmat import _new_tables, _row_times
+from nfakit.boolmat import WALK_MAX_BITS, _new_tables, _row_times
 from nfakit.cli import parse_nfa, serialize_nfa
 
 # '#' starts a comment line in NFA files, so it is worth a round trip
@@ -73,15 +73,18 @@ def test_simulate_matches_set_frontier(data):
 def vectors_and_rows(draw):
     """A bit vector, the rows it picks from, and whether to pass tables.
 
-    The vector's lowest set bit sits at any offset, and it has either at
-    most 64 set bits (the kernel's bit walk) or more (its table loop when
+    The vector's lowest set bit sits at any offset, and it has 1..64 set
+    bits, 65 or more, or WALK_MAX_BITS or one more: either side of the
+    kernel's boundary between its bit walk and its table loop (taken when
     given tables, else the walk).
     """
-    dense = draw(st.booleans())
-    dim = draw(st.integers(65 if dense else 1, 400))
-    low = draw(st.integers(0, dim - (65 if dense else 1)))
+    least, most = draw(
+        st.sampled_from(((1, 64), (65, 400), (WALK_MAX_BITS, WALK_MAX_BITS + 1)))
+    )
+    dim = draw(st.integers(least, 400))
+    low = draw(st.integers(0, dim - least))
     span = dim - low
-    count = draw(st.integers(65, span) if dense else st.integers(1, min(span, 64)))
+    count = draw(st.integers(least, min(span, most)))
     rng = random.Random(draw(st.integers(0, 1 << 32)))
     row = sum(1 << k for k in rng.sample(range(low + 1, dim), count - 1)) | 1 << low
     # one bit per row, each in its own column: the OR names the rows picked,
@@ -159,6 +162,11 @@ def wide_vectors():
         yield EDGE_BITS + tuple(rng.sample(others, count - len(EDGE_BITS)))
     # dense with no bit in byte 0, so the table loop starts past it
     yield tuple(sorted(rng.sample(range(8, WIDE_DIM), 65)))
+    # either side of the kernel's walk/table boundary, and just past it
+    # with no bit in byte 0
+    for count in (WALK_MAX_BITS, WALK_MAX_BITS + 1):
+        yield EDGE_BITS + tuple(rng.sample(others, count - len(EDGE_BITS)))
+    yield tuple(sorted(rng.sample(range(8, WIDE_DIM), WALK_MAX_BITS + 1)))
 
 
 def wide_id(bits):
