@@ -4,7 +4,7 @@ and the quadratic-per-step baseline enumeration for unary acyclic NFAs."""
 from __future__ import annotations
 
 from .automata import Nfa, _successor_rows, adjacency_matrix, finals_mask, require_unary_acyclic
-from .boolmat import _new_tables, _row_times, row_times_power
+from .boolmat import _row_times, row_times_power
 
 Word = str
 
@@ -29,12 +29,12 @@ def simulate(nfa: Nfa, word: Word) -> bool:
 
     A step is Shift-And: the frontier's states with an edge p -> p+1 on
     the symbol move by one shift, and only those with other edges on it
-    go through the row kernel. Each symbol keeps Four Russians tables up
-    to its highest state with other edges, for the run: an entry filled
-    at one step is read at later steps on the same symbol.
+    go through the row kernel. Each symbol keeps Four Russians tables for
+    the run, which the kernel grows as far as dense frontiers reach: an
+    entry filled at one step is read at later steps on the same symbol.
     """
     steps = {
-        ch: (shift, exceptions, rows, _new_tables(exceptions.bit_length()))
+        ch: (shift, exceptions, rows, [])
         for ch, (shift, exceptions, rows) in _successor_rows(nfa).items()
     }
     for ch in word:  # all of it, before a step can end the run early

@@ -75,7 +75,7 @@ def mul(a: BoolMatrix, b: BoolMatrix, method: str = "packed") -> BoolMatrix:
         raise ValueError(f"unknown multiplier {method!r}, expected one of {_METHODS}")
     _mul_calls.set(_mul_calls.get() + 1)
     if method == "packed":
-        tables, memo = _new_tables(a.dim), {}
+        tables, memo = [], {}
         rows = [_row_times(row, b.rows, tables, memo) for row in a.rows]
     else:
         rows = _mul_rows_naive(a.rows, b.rows)
@@ -137,18 +137,19 @@ def _row_times(row, brows, tables=None, memo=None):
     # row vector times matrix: OR of brows[k] over the set bits k of row.
     # A one-bit row is a lookup. A row with at most WALK_MAX_BITS set bits,
     # or with no tables, walks its set bits from the top down, so the row
-    # gets shorter at each step; a zero row returns 0. A denser row with
-    # tables goes byte by byte over its set-bit span only, from the lowest
-    # nonzero byte to the highest, and ORs one Four Russians entry per
-    # nonzero byte (see _fill_entry). The tables belong to brows, so whoever
-    # multiplies by the same rows many times holds them: mul for the rows of
-    # one product only, since b's rows are not used again, and simulate for
-    # all the steps on one symbol. row_times_power's walk holds none, so its
-    # heap stays at the vectors it has met. Only mul holds a memo, from each
-    # row that took the table loop, as it came in, to its result, so an
-    # equal row later in A gets the same int back; its keys and values are
-    # rows the product holds anyway. simulate and row_times_power hold none,
-    # as their distinct frontiers are unbounded
+    # gets shorter at each step. A denser row with tables goes byte by byte
+    # over its set-bit span only and ORs one Four Russians entry per nonzero
+    # byte: tables[g][byte] is the OR of rows 8g + k over the set bits k of
+    # byte (see _fill_entry). Callers hand in an empty list and the kernel
+    # grows it, so tables cost only up to the groups that dense rows reach.
+    # The tables belong to brows, so whoever multiplies by the same rows
+    # many times holds them: mul for the rows of one product only, and
+    # simulate for all the steps on one symbol. row_times_power's walk holds
+    # none, so its heap stays at the vectors it has met. Only mul holds a
+    # memo, from each row that took the table loop, as it came in, to its
+    # result, so an equal row later in A gets the same int back; its keys
+    # and values are rows the product holds anyway. simulate and
+    # row_times_power hold none, as their distinct frontiers are unbounded
     count = row.bit_count()
     if count == 1:
         return brows[row.bit_length() - 1]
@@ -165,7 +166,11 @@ def _row_times(row, brows, tables=None, memo=None):
             return hit
     first = (row & -row).bit_length() - 1 >> 3  # index of the lowest nonzero byte
     span = row >> (first << 3)
-    for group, byte in enumerate(span.to_bytes((span.bit_length() + 7) >> 3, "little"), first):
+    data = span.to_bytes((span.bit_length() + 7) >> 3, "little")
+    grow = first + len(data) - len(tables)
+    if grow > 0:
+        tables.extend([None] * grow)
+    for group, byte in enumerate(data, first):
         if byte:
             table = tables[group]
             if table is None:
@@ -190,13 +195,6 @@ def _fill_entry(table, byte, brows, base):
         entry = _fill_entry(table, rest, brows, base)
     entry = table[byte] = entry | brows[base + top]
     return entry
-
-
-def _new_tables(dim):
-    # an empty set of Four Russians tables for dim rows: one slot per group
-    # of 8 rows, filled with a 256-entry table on the group's first use;
-    # tables[g][byte] is the OR of rows 8g + k over the set bits k of byte
-    return [None] * ((dim + 7) >> 3)
 
 
 def _mul_rows_naive(arows, brows):

@@ -317,6 +317,25 @@ def test_simulate_heap_does_not_grow_with_the_alphabet():
     assert peak < 1 << 20
 
 
+def test_simulate_heap_does_not_grow_with_a_symbols_highest_state():
+    # a symbol whose one edge leaves a high state costs its row and its
+    # exception mask, not a tables slot per 8 states below that edge: 2,000
+    # such symbols peaked at 142.7 MiB when each symbol's tables list was
+    # sized by its exception mask; the masks alone take about 16 MiB here
+    n = 65536
+    alphabet = tuple(chr(0x4E00 + i) for i in range(2000))
+    transitions = frozenset((n - 2, sym, 0) for sym in alphabet)
+    nfa = Nfa(n, alphabet, n - 2, frozenset({0}), transitions)
+    tracemalloc.start()
+    try:
+        rejected = simulate(nfa, alphabet[0] + alphabet[1] + alphabet[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rejected and simulate(nfa, alphabet[1999])
+    assert peak < 32 << 20
+
+
 # ---------------------------------------------------------------------------
 # enumerate_naive
 

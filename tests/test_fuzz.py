@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nfakit import Nfa, OvInstance, ov_brute, reduce_ov, simulate
 from nfakit.automata import _successor_rows
-from nfakit.boolmat import WALK_MAX_BITS, _new_tables, _row_times
+from nfakit.boolmat import WALK_MAX_BITS, _row_times
 from nfakit.cli import parse_nfa, serialize_nfa
 
 # '#' starts a comment line in NFA files, so it is worth a round trip
@@ -100,7 +100,7 @@ def test_row_times_is_the_or_of_the_picked_rows(case):
     for k in range(len(brows)):
         if row >> k & 1:
             expected |= brows[k]
-    tables = _new_tables(len(brows)) if with_tables else None
+    tables = [] if with_tables else None
     assert _row_times(row, brows, tables) == expected
     # a second call reads the table entries the first one filled
     assert _row_times(row, brows, tables) == expected
@@ -127,7 +127,7 @@ def assert_tables_hold_their_bytes(tables, brows):
 @given(vectors_and_rows())
 def test_every_filled_table_entry_is_the_or_of_its_byte(case):
     row, brows, _ = case
-    tables = _new_tables(len(brows))
+    tables = []
     assert _row_times(row, brows, tables) == picked_or(row, brows)
     assert_tables_hold_their_bytes(tables, brows)
 
@@ -138,7 +138,7 @@ def test_tables_shared_across_vectors_stay_exact(data):
     # different vectors times the same rows read each other's entries
     row, brows, _ = data.draw(vectors_and_rows())
     dim = len(brows)
-    tables = _new_tables(dim)
+    tables = []
     assert _row_times(row, brows, tables) == picked_or(row, brows)
     rng = random.Random(data.draw(st.integers(0, 1 << 32)))
     for _ in range(data.draw(st.integers(1, 6))):
@@ -183,11 +183,26 @@ def test_row_times_on_wide_vectors_with_edge_bits(bits):
     row = sum(1 << k for k in bits)
     expected = picked_or(row, brows)
     assert _row_times(row, brows) == expected
-    tables = _new_tables(WIDE_DIM)
+    tables = []
     assert _row_times(row, brows, tables) == expected
     assert_tables_hold_their_bytes(tables, brows)
     # a second call reads the entries the first one filled
     assert _row_times(row, brows, tables) == expected
+
+
+def test_row_times_grows_the_tables_to_the_highest_group_it_reads():
+    # callers hand in an empty list: a dense row past the list's end grows
+    # it to its own highest group, and a later lower row leaves it as it is
+    rng = random.Random(1023)
+    brows = [1 << col for col in rng.sample(range(WIDE_DIM), WIDE_DIM)]
+    low = sum(1 << k for k in rng.sample(range(24), WALK_MAX_BITS + 4)) | 1 << 23
+    high = sum(1 << k for k in rng.sample(range(WIDE_DIM), 65)) | 1 << (WIDE_DIM - 1)
+    tables = []
+    for row, groups in ((low, 3), (high, WIDE_DIM >> 3), (low, WIDE_DIM >> 3)):
+        assert row.bit_count() > WALK_MAX_BITS
+        assert _row_times(row, brows, tables) == picked_or(row, brows)
+        assert len(tables) == groups
+        assert_tables_hold_their_bytes(tables, brows)
 
 
 @st.composite

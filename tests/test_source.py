@@ -77,16 +77,39 @@ def test_only_automata_and_cli_read_transitions():
 
 
 def test_only_boolmat_builds_four_russians_tables():
-    # boolmat._new_tables owns the tables' shape, one slot per group of 8
-    # rows: [None] * ((dim + 7) >> 3); products and simulate call it
-    shape = re.compile(r"\[None\] \* \(.*>> 3\)")
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SOURCE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.BinOp) and shape.fullmatch(ast.unparse(node))
-    ]
-    assert len(found) == 1 and found[0].startswith("boolmat.py:")
+    # boolmat._row_times owns the tables' shape: it grows the list by one
+    # slot per group of 8 rows and fills a slot with a 256-entry table,
+    # [0] + [None] * 255; mul and simulate hand it a bare [], so a second
+    # builder of tables, or a caller that pre-sizes the list, fails here
+    kernel = None
+    padded, entries, per_group = [], [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name == "_row_times":
+                kernel = (path.name, range(node.lineno, node.end_lineno + 1))
+            if not isinstance(node, ast.BinOp):
+                continue
+            source = ast.unparse(node)
+            if source == "[0] + [None] * 255":
+                entries.append((path.name, node.lineno))
+            if not source.startswith("[None] * "):
+                continue
+            if re.search(r">> 3|// 8", source):
+                per_group.append(f"{path.name}:{node.lineno}")
+            if "_row_times" in text:
+                padded.append((path.name, node.lineno))
+    assert per_group == []
+    assert kernel and kernel[0] == "boolmat.py" and len(padded) == 2
+    assert all(name == kernel[0] and line in kernel[1] for name, line in padded)
+    assert len(entries) == 1 and entries[0][0] == "boolmat.py"
+    for module, caller in (("boolmat.py", "mul"), ("accept.py", "simulate")):
+        (func,) = [
+            node
+            for node in ast.parse((SOURCE / module).read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and node.name == caller
+        ]
+        assert any(isinstance(node, ast.List) and not node.elts for node in ast.walk(func))
 
 
 def test_only_automata_builds_bit_masks_from_bytes():
