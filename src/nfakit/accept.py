@@ -29,14 +29,11 @@ def simulate(nfa: Nfa, word: Word) -> bool:
 
     A step is Shift-And: the frontier's states with an edge p -> p+1 on
     the symbol move by one shift, and only those with other edges on it
-    go through the row kernel. Each symbol keeps Four Russians tables for
-    the run, which the kernel grows as far as dense frontiers reach: an
-    entry filled at one step is read at later steps on the same symbol.
+    go through the row kernel. Only the letters the word reads are encoded,
+    each with Four Russians tables for the run, which the kernel grows as
+    far as dense frontiers reach: an entry is reused on the same letter.
     """
-    steps = {
-        ch: (shift, exceptions, rows, [])
-        for ch, (shift, exceptions, rows) in _successor_rows(nfa).items()
-    }
+    steps = {ch: (*record, []) for ch, record in _successor_rows(nfa, set(word)).items()}
     for ch in word:  # all of it, before a step can end the run early
         if ch not in steps:
             raise SymbolNotInAlphabetError(f"symbol {ch!r} not in alphabet")

@@ -363,6 +363,13 @@ def test_simulate_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "REJECT"
     assert main(["simulate", chain, "ab"]) == 2
     assert "not in alphabet" in capsys.readouterr().err
+    # b labels no transition, so "ab" kills the frontier; a foreign letter
+    # after that point is still refused, before any step is taken
+    idle_b = write(tmp_path, "idle_b.nfa", "states 2\nalphabet a b\nstart 0\nfinal 1\n0 a 1\n")
+    assert main(["simulate", idle_b, "ab"]) == 1
+    assert capsys.readouterr().out.strip() == "REJECT"
+    assert main(["simulate", idle_b, "abc"]) == 2
+    assert "symbol 'c' not in alphabet" in capsys.readouterr().err
 
 
 def test_reduce_ov_command(tmp_path, capsys):
