@@ -206,18 +206,18 @@ def _successor_rows(
 ) -> dict[Symbol, tuple[int, int, dict[int, int]]]:
     """Encode transitions as the Shift-And table that `simulate` steps by.
 
-    Per symbol of the alphabet in letters, in alphabet order, it gives
-    (shift, exceptions, rows): bit p of shift is set iff p -sym-> p+1, bit
-    q of rows[p] is set iff p -sym-> q and q != p+1, and exceptions holds
-    the keys of rows. Built per call for the letters of one word, never
-    stored. A chain needs no rows; its full rows would take n(n-1)/2 bits.
+    Per symbol of the alphabet in letters it gives (shift, exceptions,
+    rows): bit p of shift is set iff p -sym-> p+1, bit q of rows[p] is set
+    iff p -sym-> q and q != p+1, and exceptions holds the keys of rows.
+    Built per call for the letters of one word, never stored. A chain
+    needs no rows; its full rows would take n(n-1)/2 bits.
     """
     table = {sym: ([], {}) for sym in nfa.alphabet if sym in letters}
-    triples = nfa.transitions
-    if len(table) < len(nfa.alphabet):  # drop the triples of unread symbols, if any
-        triples = [t for t in triples if t[1] in table]
-    for src, sym, dst in triples:
-        chain, rows = table[sym]
+    for src, sym, dst in nfa.transitions:
+        try:
+            chain, rows = table[sym]
+        except KeyError:  # a symbol the word does not read
+            continue
         if dst == src + 1:
             chain.append(src)
         else:
