@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Container, Iterable
 
-from .boolmat import BoolMatrix
+from .boolmat import BoolMatrix, _check_size
 
 StateId = int
 Symbol = str
@@ -53,10 +53,7 @@ class Nfa:
         object.__setattr__(self, "finals", frozenset(self.finals))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
         n = self.state_count
-        if not isinstance(n, int):
-            raise ValueError(f"state_count must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"state_count must be >= 1, got {n}")
+        _check_size("state_count", n)
         for ch in self.alphabet:
             if not _is_symbol(ch):
                 raise ValueError(f"invalid alphabet symbol {ch!r}")
@@ -86,11 +83,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if not isinstance(self.vertex_count, int):
-            raise ValueError(f"vertex_count must be an integer, got {self.vertex_count!r}")
-        if self.vertex_count < 1:
-            raise ValueError(f"vertex_count must be >= 1, got {self.vertex_count}")
         n = self.vertex_count
+        _check_size("vertex_count", n)
         normalized = set()
         for edge in self.edges:
             if not (isinstance(edge, tuple) and len(edge) == 2):

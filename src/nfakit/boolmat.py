@@ -22,6 +22,13 @@ _METHODS = ("packed", "naive")
 WALK_MAX_BITS = 16
 
 
+def _check_size(name: str, value) -> None:
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class BoolMatrix:
     """dim x dim boolean matrix; bit j of rows[i] is entry (i, j)."""
@@ -30,10 +37,7 @@ class BoolMatrix:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int):
-            raise ValueError(f"dim must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        _check_size("dim", self.dim)
         object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.dim:
             raise ValueError(f"expected {self.dim} rows, got {len(self.rows)}")

@@ -12,8 +12,9 @@ come first (in any order, each exactly once), followed by one
 "<from> <sym> <to>" line per transition. Graph files start with "<n> <m>"
 followed by m undirected edge lines "<u> <v>". Orthogonal-vectors files
 start with "<n> <d>" followed by n lines "v <bits>" and then n lines
-"w <bits>", each bitstring of length d. Files are UTF-8 text and numbers
-are ASCII decimal digits.
+"w <bits>", each bitstring of length d. Files are UTF-8 text whose lines
+end at '\n', '\r\n' or a lone '\r', and numbers are ASCII decimal digits;
+a number with more digits than int() converts is malformed.
 An NFA file may declare at most MAX_STATES states, a graph file at most
 MAX_STATES // 4 vertices, and a vectors file only an n and d whose OV
 reduction has at most MAX_STATES states. Bench sizes have the same cap.
@@ -73,9 +74,14 @@ class ParseError(Exception):
         return ": ".join(parts)
 
 
+def _lines(text: str) -> list[str]:
+    """Split at '\n', '\r\n' and a lone '\r' only, not at str.splitlines()'s '\f' or U+2028."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _content_lines(text: str):
     """Yield (line_number, tokens) for non-blank, non-comment lines."""
-    for number, raw in enumerate(text.splitlines(), 1):
+    for number, raw in enumerate(_lines(text), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -87,7 +93,10 @@ def _int_token(token: str, what: str, line: int | None = None) -> int:
     # str.isdigit() alone also takes superscripts such as '²'
     if not (token.isascii() and token.isdigit()):
         raise ParseError(f"{what} must be a decimal integer, got {token!r}", line)
-    return int(token, 10)
+    try:
+        return int(token, 10)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(f"{what} has {len(token)} digits, too many to convert", line) from None
 
 
 _NFA_HEADERS = ("states", "alphabet", "start", "final")
@@ -147,10 +156,7 @@ def parse_nfa(text: str) -> Nfa:
     for q in finals:
         if not 0 <= q < state_count:
             raise ParseError(f"final state {q} out of range", header_lines["final"])
-    try:
-        return Nfa(state_count, alphabet, start, frozenset(finals), frozenset(transitions))
-    except ValueError as exc:
-        raise ParseError(str(exc))
+    return Nfa(state_count, alphabet, start, frozenset(finals), frozenset(transitions))
 
 
 def serialize_nfa(nfa: Nfa) -> str:
@@ -235,25 +241,20 @@ def random_layered_nfa(n: int, seed: int) -> Nfa:
     return Nfa(n, ("a",), 0, frozenset(finals), frozenset(transitions))
 
 
-def _read(path: str) -> str:
+def _load(parse, path: str):
+    """parse(text of the UTF-8 file at path); a ParseError names the file."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        return data.decode("utf-8")
+        return parse(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; a character appended to them
-        # lands on the bad byte's line
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"not UTF-8 text: {exc.reason}", line) from None
-
-
-def _load(parse, path: str):
-    """parse(text of the file at path); a ParseError names the file."""
-    try:
-        return parse(_read(path))
+        # the bytes before the bad one decode; their last line is the bad byte's
+        line = len(_lines(data[: exc.start].decode("utf-8")))
+        error = ParseError(f"not UTF-8 text: {exc.reason}", line)
     except ParseError as exc:
-        exc.source = path
-        raise
+        error = exc
+    error.source = path
+    raise error
 
 
 def _write_nfa(path: str, nfa: Nfa) -> None:

@@ -275,3 +275,93 @@ def test_the_shared_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
         kinds.add("help" if code == ("exit", 0) else "usage" if code == ("exit", 2) else code)
     # help, usage errors and every verdict of the commands were compared
     assert kinds == {"help", "usage", 0, 1, 2}, kinds
+
+
+# ---------------------------------------------------------------------------
+# numbers too long for int() and line breaks
+
+
+@pytest.mark.parametrize("digit", ["9", "0"])
+def test_overlong_numbers_exit_2_in_every_integer_slot(tmp_path, digit):
+    # int() refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default); such a token is malformed input, reported by its length
+    big = digit * 5000
+    path, out = tmp_path / "input.txt", str(tmp_path / "out.nfa")
+    # each file with the (line number, token index) of its integer slots
+    files = (
+        (
+            ["states 2", "alphabet a", "start 0", "final 1", "0 a 1"],
+            ["validate"],
+            [(1, 1), (3, 1), (4, 1), (5, 0), (5, 2)],
+        ),
+        (["3 1", "0 1"], ["triangle-check"], [(1, 0), (1, 1), (2, 0), (2, 1)]),
+        (["1 1", "v 1", "w 0"], ["reduce-ov"], [(1, 0), (1, 1)]),
+    )
+    for lines, command, slots in files:
+        for number, index in slots:
+            edited = list(lines)
+            tokens = edited[number - 1].split()
+            tokens[index] = big
+            edited[number - 1] = " ".join(tokens)
+            path.write_text("\n".join(edited) + "\n", encoding="utf-8")
+            argv = command + [str(path)] + ([out] if command == ["reduce-ov"] else [])
+            code, stdout, err = run(argv)
+            assert (code, stdout) == (2, ""), (argv, edited)
+            assert err.startswith(f"error: {path}: line {number}: "), err[:200]
+            assert "5000 digits" in err and big not in err
+    path.write_text("states 1\nalphabet a\nstart 0\nfinal 0\n", encoding="utf-8")
+    for argv in (
+        ["accept-length", str(path), big],
+        ["bench", "--sizes", big],
+        ["bench", "--sizes", f"64,{big}"],
+        ["bench", "--seed", big],
+        ["bench", "--trials", big],
+    ):
+        code, stdout, err = run(argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith("error: ") and "5000 digits" in err and big not in err
+
+
+# str.splitlines() also breaks at these; a file breaks only at \n, \r\n and \r
+OTHER_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def test_only_newline_and_carriage_return_break_lines(tmp_path):
+    path, out = tmp_path / "input.txt", tmp_path / "out.nfa"
+
+    def answer_for(text, command):
+        path.write_bytes(text.encode("utf-8"))
+        argv = command + [str(path)] + ([str(out)] if command == ["reduce-ov"] else [])
+        code, stdout, err = run(argv)
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+        if written is not None:
+            out.unlink()
+        return code, stdout, err, written
+
+    files = (
+        (["states 3", "alphabet a", "start 0", "final 2", "0 a 1", "1 a 2"], ["validate"]),
+        (["states 2", "alphabet a", "start 0", "final 1", "0 a 1"], ["enumerate"]),
+        (["3 3", "0 1", "1 2", "0 2"], ["triangle-check"]),
+        (["1 2", "v 01", "w 10"], ["reduce-ov"]),
+        (BAD_NFA.splitlines(), ["validate"]),
+    )
+    for lines, command in files:
+        plain = answer_for("\n".join(lines) + "\n", command)
+        assert plain[0] in (0, 1) or plain[2].startswith(f"error: {path}: line 5: ")
+        for mark in OTHER_BREAKS:
+            commented = lines[:1] + [f"# note{mark}more"] + lines[1:]
+            for end in ("\n", "\r\n", "\r"):
+                code, stdout, err, written = answer_for(end.join(commented) + end, command)
+                assert (code, stdout, written) == plain[:2] + plain[3:], (lines, mark, end)
+                # an error after the comment names the line counted by line ends
+                assert err == plain[2].replace("line 5", "line 6"), (lines, mark, end)
+            spaced = [line.replace(" ", mark) for line in lines]
+            assert answer_for("\n".join(spaced) + "\n", command) == plain, (lines, mark)
+    # a bad byte after such a comment is reported at the line so counted
+    for mark in OTHER_BREAKS:
+        for end in ("\n", "\r\n", "\r"):
+            head = end.join(["states 2", f"# note{mark}more", "alphabet a", ""])
+            path.write_bytes(head.encode("utf-8") + b"start \xff" + end.encode())
+            code, stdout, err = run(["validate", str(path)])
+            assert (code, stdout) == (2, "")
+            assert err.startswith(f"error: {path}: line 4: not UTF-8 text"), (mark, end, err)

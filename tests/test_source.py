@@ -124,6 +124,33 @@ def test_only_automata_builds_bit_masks_from_bytes():
     assert len(found) == 1 and found[0].startswith("automata.py:")
 
 
+def test_line_breaks_and_integer_tokens_each_have_one_owner():
+    # cli._lines alone decides where a line ends (str.splitlines() also
+    # breaks at U+2028 and others), and cli._int_token alone turns a token
+    # into an integer, so each input rule and its errors live in one place
+    splitters = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "splitlines"
+    ]
+    assert splitters == []
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    (owner,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_int_token"
+    ]
+    conversions = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "int"
+        and len(node.args) + len(node.keywords) == 2
+    ]
+    assert conversions and all(owner.lineno <= line <= owner.end_lineno for line in conversions)
+
+
 def test_traced_benchmark_targets_resolve():
     # the traced benchmark run wraps these module attributes and silently
     # skips the ones that are missing, losing those layers' metrics
