@@ -103,59 +103,58 @@ _NFA_HEADERS = ("states", "alphabet", "start", "final")
 
 
 def parse_nfa(text: str) -> Nfa:
-    state_count = alphabet = symbols = start = finals = None
+    lines = _content_lines(text)
     header_lines: dict[str, int] = {}  # header key -> its line number
-    transitions = []
-    for line, tokens in _content_lines(text):
+    for line, tokens in lines:
         key = tokens[0]
-        if key in _NFA_HEADERS:
-            if transitions:
-                raise ParseError(f"header line {key!r} after transitions", line)
-            if key in header_lines:
-                raise ParseError(f"duplicate '{key}' line", line)
-            header_lines[key] = line
-            if key == "states":
-                if len(tokens) != 2:
-                    raise ParseError("expected 'states <n>'", line)
-                state_count = _int_token(tokens[1], "state count", line)
-                if not 1 <= state_count <= MAX_STATES:
-                    raise ParseError(
-                        f"state count must be in 1..{MAX_STATES}, got {state_count}", line
-                    )
-            elif key == "alphabet":
-                for sym in tokens[1:]:
-                    if not _is_symbol(sym):
-                        raise ParseError(f"invalid symbol {sym!r}", line)
-                alphabet, symbols = tuple(tokens[1:]), set(tokens[1:])
-                if len(symbols) != len(alphabet):
-                    raise ParseError("duplicate alphabet symbol", line)
-            elif key == "start":
-                if len(tokens) != 2:
-                    raise ParseError("expected 'start <id>'", line)
-                start = _int_token(tokens[1], "start state", line)
-            else:
-                finals = [_int_token(t, "final state", line) for t in tokens[1:]]
+        if key in header_lines:
+            raise ParseError(f"duplicate '{key}' line", line)
+        if key == "states":
+            if len(tokens) != 2:
+                raise ParseError("expected 'states <n>'", line)
+            state_count = _int_token(tokens[1], "state count", line)
+            if not 1 <= state_count <= MAX_STATES:
+                raise ParseError(
+                    f"state count must be in 1..{MAX_STATES}, got {state_count}", line
+                )
+        elif key == "alphabet":
+            for sym in tokens[1:]:
+                if not _is_symbol(sym):
+                    raise ParseError(f"invalid symbol {sym!r}", line)
+            alphabet, symbols = tuple(tokens[1:]), set(tokens[1:])
+            if len(symbols) != len(alphabet):
+                raise ParseError("duplicate alphabet symbol", line)
+        elif key == "start":
+            if len(tokens) != 2:
+                raise ParseError("expected 'start <id>'", line)
+            start = _int_token(tokens[1], "start state", line)
+        elif key == "final":
+            finals = [_int_token(t, "final state", line) for t in tokens[1:]]
         else:
-            if len(header_lines) < len(_NFA_HEADERS):
-                raise ParseError("transition before the states/alphabet/start/final header", line)
-            if len(tokens) != 3:
-                raise ParseError("expected '<from> <sym> <to>'", line)
-            src = _int_token(tokens[0], "source state", line)
-            sym = tokens[1]
-            dst = _int_token(tokens[2], "target state", line)
-            if sym not in symbols:
-                raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
-            if not (0 <= src < state_count and 0 <= dst < state_count):
-                raise ParseError("transition state out of range", line)
-            transitions.append((src, sym, dst))
-    for key in _NFA_HEADERS:
-        if key not in header_lines:
-            raise ParseError(f"missing '{key}' line")
+            raise ParseError("transition before the states/alphabet/start/final header", line)
+        header_lines[key] = line
+        if len(header_lines) == len(_NFA_HEADERS):
+            break
+    else:
+        missing = next(key for key in _NFA_HEADERS if key not in header_lines)
+        raise ParseError(f"missing '{missing}' line")
     if not 0 <= start < state_count:
         raise ParseError(f"start state {start} out of range", header_lines["start"])
     for q in finals:
         if not 0 <= q < state_count:
             raise ParseError(f"final state {q} out of range", header_lines["final"])
+    transitions = []
+    for line, tokens in lines:
+        if len(tokens) != 3:
+            raise ParseError("expected '<from> <sym> <to>'", line)
+        src = _int_token(tokens[0], "source state", line)
+        sym = tokens[1]
+        dst = _int_token(tokens[2], "target state", line)
+        if sym not in symbols:
+            raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
+        if not (0 <= src < state_count and 0 <= dst < state_count):
+            raise ParseError("transition state out of range", line)
+        transitions.append((src, sym, dst))
     return Nfa(state_count, alphabet, start, frozenset(finals), frozenset(transitions))
 
 
@@ -173,22 +172,20 @@ def serialize_nfa(nfa: Nfa) -> str:
 
 def _first_line(text: str, kind: str, form: str, first: str, second: str):
     """Read the two-number first line of a graph or vectors file; returns its
-    line number, both numbers and the content lines after it."""
-    lines = list(_content_lines(text))
-    if not lines:
+    line number, both numbers and the iterator of the content lines after it."""
+    lines = _content_lines(text)
+    line, tokens = next(lines, (None, None))
+    if tokens is None:
         raise ParseError(f"empty {kind} file")
-    line, tokens = lines[0]
     if len(tokens) != 2:
         raise ParseError(f"expected '{form}' on the first line", line)
-    return line, _int_token(tokens[0], first, line), _int_token(tokens[1], second, line), lines[1:]
+    return line, _int_token(tokens[0], first, line), _int_token(tokens[1], second, line), lines
 
 
 def parse_graph(text: str) -> Graph:
     line, n, m, lines = _first_line(text, "graph", "<n> <m>", "vertex count", "edge count")
     if not 1 <= 4 * n <= MAX_STATES:
         raise ParseError(f"vertex count must be in 1..{MAX_STATES // 4}, got {n}", line)
-    if len(lines) != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines)}")
     edges = set()
     for line, tokens in lines:
         if len(tokens) != 2:
@@ -203,6 +200,8 @@ def parse_graph(text: str) -> Graph:
         if edge in edges:
             raise ParseError(f"duplicate edge {u} {v}", line)
         edges.add(edge)
+    if len(edges) != m:  # each edge line added one edge
+        raise ParseError(f"expected {m} edge lines, found {len(edges)}")
     return Graph(n, frozenset(edges))
 
 
@@ -213,8 +212,6 @@ def parse_ov(text: str) -> OvInstance:
     states = ov_state_count(n, d)
     if states > MAX_STATES:
         raise ParseError(f"n={n}, d={d} reduces to {states} states, more than {MAX_STATES}", line)
-    if len(lines) != 2 * n:
-        raise ParseError(f"expected {2 * n} vector lines, found {len(lines)}")
     sides: dict[str, list[tuple[int, ...]]] = {"v": [], "w": []}
     for index, (line, tokens) in enumerate(lines):
         expected = "v" if index < n else "w"
@@ -224,6 +221,9 @@ def parse_ov(text: str) -> OvInstance:
         if len(bits) != d or any(ch not in "01" for ch in bits):
             raise ParseError(f"bitstring must be {d} characters of 0/1, got {bits!r}", line)
         sides[expected].append(tuple(int(ch) for ch in bits))
+    found = len(sides["v"]) + len(sides["w"])
+    if found != 2 * n:
+        raise ParseError(f"expected {2 * n} vector lines, found {found}")
     return OvInstance(n, d, tuple(sides["v"]), tuple(sides["w"]))
 
 
