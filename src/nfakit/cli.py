@@ -13,8 +13,9 @@ come first (in any order, each exactly once), followed by one
 followed by m undirected edge lines "<u> <v>". Orthogonal-vectors files
 start with "<n> <d>" followed by n lines "v <bits>" and then n lines
 "w <bits>", each bitstring of length d. Files are UTF-8 text whose lines
-end at '\n', '\r\n' or a lone '\r', and numbers are ASCII decimal digits;
-a number with more digits than int() converts is malformed.
+end at '\n', '\r\n' or a lone '\r'; a leading byte-order mark is skipped.
+Numbers are ASCII decimal digits; a number with more digits than int()
+converts is malformed.
 An NFA file may declare at most MAX_STATES states, a graph file at most
 MAX_STATES // 4 vertices, and a vectors file only an n and d whose OV
 reduction has at most MAX_STATES states. Bench sizes have the same cap.
@@ -27,6 +28,7 @@ Exit codes: 0 positive answer, 1 negative answer or failed validation,
 from __future__ import annotations
 
 import argparse
+import codecs
 import random
 import statistics
 import sys
@@ -99,6 +101,13 @@ def _int_token(token: str, what: str, line: int | None = None) -> int:
         raise ParseError(f"{what} has {len(token)} digits, too many to convert", line) from None
 
 
+def _shown(number: int) -> str:
+    """A refused number as an error message shows it: in full up to 20
+    digits, else by its digit count, as _int_token's too-long message does."""
+    digits = str(number)
+    return digits if len(digits) <= 20 else f"<{len(digits)} digits>"
+
+
 _NFA_HEADERS = ("states", "alphabet", "start", "final")
 
 
@@ -115,7 +124,7 @@ def parse_nfa(text: str) -> Nfa:
             state_count = _int_token(tokens[1], "state count", line)
             if not 1 <= state_count <= MAX_STATES:
                 raise ParseError(
-                    f"state count must be in 1..{MAX_STATES}, got {state_count}", line
+                    f"state count must be in 1..{MAX_STATES}, got {_shown(state_count)}", line
                 )
         elif key == "alphabet":
             for sym in tokens[1:]:
@@ -139,22 +148,29 @@ def parse_nfa(text: str) -> Nfa:
         missing = next(key for key in _NFA_HEADERS if key not in header_lines)
         raise ParseError(f"missing '{missing}' line")
     if not 0 <= start < state_count:
-        raise ParseError(f"start state {start} out of range", header_lines["start"])
+        raise ParseError(f"start state {_shown(start)} out of range", header_lines["start"])
     for q in finals:
         if not 0 <= q < state_count:
-            raise ParseError(f"final state {q} out of range", header_lines["final"])
+            raise ParseError(f"final state {_shown(q)} out of range", header_lines["final"])
     transitions = []
-    for line, tokens in lines:
-        if len(tokens) != 3:
-            raise ParseError("expected '<from> <sym> <to>'", line)
-        src = _int_token(tokens[0], "source state", line)
-        sym = tokens[1]
-        dst = _int_token(tokens[2], "target state", line)
-        if sym not in symbols:
-            raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
-        if not (0 <= src < state_count and 0 <= dst < state_count):
-            raise ParseError("transition state out of range", line)
-        transitions.append((src, sym, dst))
+    try:
+        for line, tokens in lines:
+            if len(tokens) != 3:
+                raise ParseError("expected '<from> <sym> <to>'", line)
+            src = _int_token(tokens[0], "source state", line)
+            sym = tokens[1]
+            dst = _int_token(tokens[2], "target state", line)
+            if sym not in symbols:
+                raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
+            if not (0 <= src < state_count and 0 <= dst < state_count):
+                raise ParseError("transition state out of range", line)
+            transitions.append((src, sym, dst))
+    except ParseError:
+        # all four headers are read, so a header line here is a second copy;
+        # its key is not a number, so it has failed as a transition first
+        if tokens[0] in _NFA_HEADERS:
+            raise ParseError(f"duplicate '{tokens[0]}' line", line) from None
+        raise
     return Nfa(state_count, alphabet, start, frozenset(finals), frozenset(transitions))
 
 
@@ -185,7 +201,7 @@ def _first_line(text: str, kind: str, form: str, first: str, second: str):
 def parse_graph(text: str) -> Graph:
     line, n, m, lines = _first_line(text, "graph", "<n> <m>", "vertex count", "edge count")
     if not 1 <= 4 * n <= MAX_STATES:
-        raise ParseError(f"vertex count must be in 1..{MAX_STATES // 4}, got {n}", line)
+        raise ParseError(f"vertex count must be in 1..{MAX_STATES // 4}, got {_shown(n)}", line)
     edges = set()
     for line, tokens in lines:
         if len(tokens) != 2:
@@ -193,7 +209,7 @@ def parse_graph(text: str) -> Graph:
         u = _int_token(tokens[0], "vertex", line)
         v = _int_token(tokens[1], "vertex", line)
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex out of range in edge {u} {v}", line)
+            raise ParseError(f"vertex out of range in edge {_shown(u)} {_shown(v)}", line)
         if u == v:
             raise ParseError(f"self-loop on vertex {u}", line)
         edge = (min(u, v), max(u, v))
@@ -201,14 +217,16 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"duplicate edge {u} {v}", line)
         edges.add(edge)
     if len(edges) != m:  # each edge line added one edge
-        raise ParseError(f"expected {m} edge lines, found {len(edges)}")
+        raise ParseError(f"expected {_shown(m)} edge lines, found {len(edges)}")
     return Graph(n, frozenset(edges))
 
 
 def parse_ov(text: str) -> OvInstance:
     line, n, d, lines = _first_line(text, "vectors", "<n> <d>", "vector count", "dimension")
-    if n < 1 or d < 1:
-        raise ParseError(f"need n >= 1 and d >= 1, got n={n}, d={d}", line)
+    # ov_state_count(1, d) = d + 4 and ov_state_count(n, 1) = 7n - 2, so an n or
+    # d above MAX_STATES is over the cap anyway; refusing it first keeps the count short
+    if not (1 <= n <= MAX_STATES and 1 <= d <= MAX_STATES):
+        raise ParseError(f"need n and d in 1..{MAX_STATES}, got n={_shown(n)}, d={_shown(d)}", line)
     states = ov_state_count(n, d)
     if states > MAX_STATES:
         raise ParseError(f"n={n}, d={d} reduces to {states} states, more than {MAX_STATES}", line)
@@ -242,9 +260,10 @@ def random_layered_nfa(n: int, seed: int) -> Nfa:
 
 
 def _load(parse, path: str):
-    """parse(text of the UTF-8 file at path); a ParseError names the file."""
+    """parse(text of the UTF-8 file at path, less a leading byte-order mark);
+    a ParseError names the file."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         return parse(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -279,7 +298,7 @@ def cmd_validate(args) -> int:
 def cmd_accept_length(args) -> int:
     length = _int_token(args.length, "length")
     if length > MAX_LENGTH:
-        raise ParseError(f"length {length} exceeds 2^63")
+        raise ParseError(f"length {_shown(length)} exceeds 2^63")
     nfa = _load(parse_nfa, args.nfa)
     return _verdict(accepts_length(nfa, length), "ACCEPT", "REJECT")
 
@@ -344,7 +363,7 @@ def cmd_bench(args) -> int:
     sizes = [_int_token(token, "size") for token in args.sizes.split(",")]
     for n in sizes:
         if not 1 <= n <= MAX_STATES:
-            raise ParseError(f"size must be in 1..{MAX_STATES}, got {n}")
+            raise ParseError(f"size must be in 1..{MAX_STATES}, got {_shown(n)}")
     seed = _int_token(args.seed, "seed")
     trials = _int_token(args.trials, "trials")
     if trials < 1:

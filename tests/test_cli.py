@@ -67,6 +67,43 @@ def test_nfa_parser_errors_carry_line_numbers():
         with pytest.raises(ParseError) as err:
             parse_nfa(f"states 1\nalphabet a {sym}\nstart 0\nfinal 0\n")
         assert (err.value.line, err.value.message) == (2, f"invalid symbol {sym!r}")
+    # the header is checked before the first transition is read, so a bad
+    # start or final line is named before a bad transition after it
+    for text, line in (
+        ("states 2\nalphabet a\nstart 5\nfinal 1\n0 a 9\n", 3),
+        ("states 2\nalphabet a\nstart 0\nfinal 4\n0 b 1\n", 4),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_nfa(text)
+        assert err.value.line == line
+
+
+def test_a_header_line_after_the_transitions_is_a_duplicate():
+    head = "states 3\nalphabet a b\nstart 0\nfinal 1\n0 a 1\n"
+    for extra in ("states 3", "alphabet a b", "alphabet a", "start 1", "final", "final 1 2"):
+        key = extra.split()[0]
+        for text, line in ((head + extra, 6), (head + extra + "\n1 b 2\n", 6)):
+            with pytest.raises(ParseError) as err:
+                parse_nfa(text)
+            assert (err.value.line, err.value.message) == (line, f"duplicate '{key}' line")
+    # a transition that fails for its own reason keeps its own message
+    with pytest.raises(ParseError) as err:
+        parse_nfa(head + "1 c 2\n")
+    assert (err.value.line, err.value.message) == (6, "transition symbol 'c' not in alphabet")
+
+
+def test_graph_and_vectors_record_errors_come_before_the_count():
+    for parse, text, line, message in (
+        (parse_graph, "3 5\n0 1\n1 1\n", 3, "self-loop on vertex 1"),
+        (parse_ov, "1 2\nv 01\nw 0x\nw 11\n", 3, "bitstring must be 2 characters of 0/1, got '0x'"),
+        (parse_graph, "3 2\n0 1\n", None, "expected 2 edge lines, found 1"),
+        (parse_graph, "3 1\n0 1\n1 2\n", None, "expected 1 edge lines, found 2"),
+        (parse_ov, "2 1\nv 1\nv 0\nw 1\n", None, "expected 4 vector lines, found 3"),
+        (parse_ov, "1 1\nv 1\nw 0\nw 1\n", None, "expected 2 vector lines, found 3"),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.message) == (line, message)
 
 
 def test_nfa_parser_is_linear_in_a_large_alphabet():

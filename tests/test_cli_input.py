@@ -322,6 +322,69 @@ def test_overlong_numbers_exit_2_in_every_integer_slot(tmp_path, digit):
         assert err.startswith("error: ") and "5000 digits" in err and big not in err
 
 
+def test_refused_numbers_are_shown_by_their_digit_count(tmp_path, monkeypatch):
+    # 4300 digits is the most int() converts, so each of these numbers is
+    # read, then refused by a range rule whose message stays one short line
+    big = "9" * 4300
+    monkeypatch.chdir(tmp_path)
+    nfa = "states 2\nalphabet a\nstart 0\nfinal 1\n0 a 1\n"
+    cases = (
+        (f"states {big}\nalphabet a\nstart 0\nfinal 0\n", ["validate", "in.txt"]),
+        (nfa.replace("start 0", f"start {big}"), ["validate", "in.txt"]),
+        (nfa.replace("final 1", f"final 0 {big}"), ["validate", "in.txt"]),
+        (f"{big} 1\n0 1\n", ["triangle-check", "in.txt"]),
+        (f"3 1\n0 {big}\n", ["triangle-check", "in.txt"]),
+        (f"3 {big}\n0 1\n", ["triangle-check", "in.txt"]),
+        (f"{big} 1\nv 1\nw 0\n", ["reduce-ov", "in.txt", "out.nfa"]),
+        (f"1 {big}\nv 1\nw 0\n", ["reduce-ov", "in.txt", "out.nfa"]),
+        (f"{big} {big}\nv 1\nw 0\n", ["reduce-ov", "in.txt", "out.nfa"]),
+        (nfa, ["accept-length", "in.txt", big]),
+        (nfa, ["bench", "--sizes", big]),
+    )
+    for text, argv in cases:
+        (tmp_path / "in.txt").write_text(text, encoding="utf-8")
+        code, stdout, err = run(argv)
+        assert (code, stdout) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+        assert len(err.encode()) < 200 and "4300 digits" in err, err[:300]
+    assert not (tmp_path / "out.nfa").exists()
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    path, out = tmp_path / "input.txt", tmp_path / "out.nfa"
+
+    def answer_for(data, command):
+        path.write_bytes(data)
+        argv = command + [str(path)] + ([str(out)] if command == ["reduce-ov"] else [])
+        code, stdout, err = run(argv)
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+        if written is not None:
+            out.unlink()
+        return code, stdout, err, written
+
+    files = (
+        ("states 3\nalphabet a\nstart 0\nfinal 2\n0 a 1\n1 a 2\n", ["validate"]),
+        ("states 2\nalphabet a\nstart 0\nfinal 1\n0 a 1\n", ["enumerate"]),
+        ("3 3\n0 1\n1 2\n0 2\n", ["triangle-check"]),
+        ("1 2\nv 01\nw 10\n", ["reduce-ov"]),
+        (BAD_NFA, ["validate"]),
+        (BAD_GRAPH, ["triangle-check"]),
+        (BAD_VECTORS, ["reduce-ov"]),
+    )
+    for text, command in files:
+        plain = answer_for(text.encode("utf-8"), command)
+        assert answer_for(b"\xef\xbb\xbf" + text.encode("utf-8"), command) == plain, text
+    # a bad byte after the mark is reported at its line, counted from the mark
+    for data, line in (
+        (b"\xef\xbb\xbf\xff", 1),
+        (b"\xef\xbb\xbfa\xc3\xa9\nbb\xff\n", 2),
+        (b"\xef\xbb\xbfstates 2\r\nalphabet a\r\nstart \xff\r\n", 3),
+    ):
+        code, stdout, err, _ = answer_for(data, ["validate"])
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {path}: line {line}: not UTF-8 text"), (data, err)
+
+
 # str.splitlines() also breaks at these; a file breaks only at \n, \r\n and \r
 OTHER_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 

@@ -186,3 +186,36 @@ def test_benchmark_selfcheck_passes_on_a_copy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_no_parser_holds_a_whole_files_lines():
+    # each parser reads its header, then streams its records from the one
+    # _content_lines iterator, so none keeps every line of a file at once
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "list(_content_lines(" in line
+    ]
+    assert found == []
+
+
+def test_only_the_loader_decodes_bytes():
+    # cli._load decodes every input file, after skipping a leading byte-order
+    # mark, so the mark and the not-UTF-8 line count are handled in one place
+    tree = ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8"))
+    (loader,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_load"
+    ]
+    decodes = [
+        (path.name, node.lineno)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "decode"
+    ]
+    assert decodes
+    assert all(
+        name == "cli.py" and loader.lineno <= line <= loader.end_lineno for name, line in decodes
+    )
