@@ -21,6 +21,10 @@ _METHODS = ("packed", "naive")
 # and simulate
 WALK_MAX_BITS = 16
 
+# steps row_times_power's walk takes before it holds tables, which a walk that
+# repeats sooner would not repay; they fill at most dim entries, one dense matrix
+_WALK_TABLES_AFTER = 32
+
 
 def _check_size(name: str, value) -> None:
     if not isinstance(value, int):
@@ -110,22 +114,25 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
 
     First walks the vector by a, one step at a time, until it is zero, e is
     spent or it repeats; a repeat reduces e modulo the period and reads the
-    result from the walk. It checks at most dim + 1 vectors, to bound its
-    heap: a frontier is a set of states, whose period can be the lcm of
-    its cycle lengths. Any exponent left goes to squarings, low bit first,
-    folding a**(2**j) into the vector where bit j is set: at most
-    floor(log2 e) products, with one square kept at a time.
+    result from the walk. It keeps at most dim + 1 vectors and dim table
+    entries (see _WALK_TABLES_AFTER), to bound its heap: a frontier is a set
+    of states, whose period can be the lcm of its cycle lengths. Any exponent
+    left goes to squarings, low bit first, folding a**(2**j) into the vector
+    where bit j is set: at most floor(log2 e) products, one square at a time.
     """
     _check_exponent(e)
     if not isinstance(row, int) or row < 0 or row >> a.dim:
         raise ValueError(f"row must be an integer with bits in columns 0..{a.dim - 1}")
     seen = {}  # each vector of the walk, to the step it was first met at
+    tables = room = None  # the walk's tables, and how many entries they may still fill
     while row and e and len(seen) <= a.dim:
         if row in seen:
             start = seen[row]
             return list(seen)[start + e % (len(seen) - start)]
+        if len(seen) == _WALK_TABLES_AFTER:
+            tables, room = [], [a.dim]
         seen[row] = len(seen)
-        row = _row_times(row, a.rows)
+        row = _row_times(row, a.rows, tables, room=room)
         e -= 1
     square = a
     while True:
@@ -137,7 +144,7 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
         square = mul(square, square)
 
 
-def _row_times(row, brows, tables=None, memo=None):
+def _row_times(row, brows, tables=None, memo=None, room=None):
     # row vector times matrix: OR of brows[k] over the set bits k of row.
     # A one-bit row is a lookup. A row with at most WALK_MAX_BITS set bits,
     # or with no tables, walks its set bits from the top down, so the row
@@ -147,13 +154,15 @@ def _row_times(row, brows, tables=None, memo=None):
     # byte (see _fill_entry). Callers hand in an empty list and the kernel
     # grows it, so tables cost only up to the groups that dense rows reach.
     # The tables belong to brows, so whoever multiplies by the same rows
-    # many times holds them: mul for the rows of one product only, and
-    # simulate for all the steps on one symbol. row_times_power's walk holds
-    # none, so its heap stays at the vectors it has met. Only mul holds a
-    # memo, from each row that took the table loop, as it came in, to its
-    # result, so an equal row later in A gets the same int back; its keys
-    # and values are rows the product holds anyway. simulate and
-    # row_times_power hold none, as their distinct frontiers are unbounded
+    # many times holds them: mul for the rows of one product only, simulate
+    # for all the steps on one symbol, and row_times_power's walk after
+    # _WALK_TABLES_AFTER steps, whose fills room caps: a missing entry
+    # spends its byte's bit count, the most entries _fill_entry makes for
+    # it, and once room is short ORs the byte's rows and stores nothing.
+    # Only mul holds a memo, from each row that took the table loop, as it
+    # came in, to its result, so an equal row later in A gets the same int
+    # back; its keys and values are rows the product holds anyway. simulate
+    # and row_times_power hold none, as their distinct frontiers are unbounded
     count = row.bit_count()
     if count == 1:
         return brows[row.bit_length() - 1]
@@ -181,6 +190,15 @@ def _row_times(row, brows, tables=None, memo=None):
                 table = tables[group] = [0] + [None] * 255
             entry = table[byte]
             if entry is None:
+                if room and room[0] < byte.bit_count():
+                    base = group << 3
+                    while byte:
+                        top = byte.bit_length() - 1
+                        acc |= brows[base + top]
+                        byte ^= 1 << top
+                    continue
+                if room:
+                    room[0] -= byte.bit_count()
                 entry = _fill_entry(table, byte, brows, group << 3)
             acc |= entry
     if memo is not None:

@@ -18,8 +18,9 @@ Numbers are ASCII decimal digits; a number with more digits than int()
 converts is malformed.
 An NFA file may declare at most MAX_STATES states, a graph file at most
 MAX_STATES // 4 vertices, and a vectors file only an n and d whose OV
-reduction has at most MAX_STATES states. Bench sizes have the same cap.
-The accept-length argument may be at most MAX_LENGTH = 2^63.
+reduction has at most MAX_STATES states. Bench sizes have the same cap,
+and bench takes at most 1000 trials. The accept-length argument may be at
+most MAX_LENGTH = 2^63.
 
 Exit codes: 0 positive answer, 1 negative answer or failed validation,
 2 malformed input.
@@ -344,6 +345,7 @@ def cmd_triangle_check(args) -> int:
 
 # timings per engine and instance in bench; each reported time is their median
 BENCH_REPETITIONS = 5
+_MAX_TRIALS = 1000  # instances per size, so that every bench run ends
 
 
 def _median_times(fns, repetitions: int):
@@ -366,8 +368,8 @@ def cmd_bench(args) -> int:
             raise ParseError(f"size must be in 1..{MAX_STATES}, got {_shown(n)}")
     seed = _int_token(args.seed, "seed")
     trials = _int_token(args.trials, "trials")
-    if trials < 1:
-        raise ParseError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ParseError(f"trials must be in 1..{_MAX_TRIALS}, got {_shown(trials)}")
     print(
         "# layered-forward unary acyclic NFAs, expected out-degree 2, "
         f"base seed {seed}, trials {trials}"

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import pytest
@@ -16,6 +17,7 @@ from nfakit import (
     power,
     reduce_ov,
     reduce_triangle,
+    row_times_power,
     simulate,
 )
 from nfakit.cli import random_layered_nfa
@@ -155,6 +157,53 @@ def test_accepts_length_heap_stays_small_on_a_cycle_with_chords():
         tracemalloc.stop()
     assert accepted
     assert peak < 2 << 20
+
+
+def test_row_times_power_keeps_its_walk_tables_under_their_cap():
+    # state 0 fans out to half the states, which a permutation moves round,
+    # so the frontier stays dense and does not repeat within the walk's
+    # dim + 1 vectors. Its bytes from step 33 on would fill table entries
+    # worth more than the bound; the walk's heap stays within it: dim + 1
+    # vectors, dim entries of at most a row each, one 256-slot list per 8
+    # states, the dict of vectors met and 64 KiB for the interpreter
+    n = 512
+    rng = seeded(36)
+    targets = rng.sample(range(1, n), n - 1)
+    transitions = {(q, "a", targets[q - 1]) for q in range(1, n)}
+    transitions |= {(0, "a", q) for q in rng.sample(range(1, n), n // 2)}
+    a = adjacency_matrix(Nfa(n, ("a",), 0, frozenset({n - 1}), frozenset(transitions)))
+
+    def times_a(row):  # the OR of a's rows at the set bits of row
+        out = 0
+        for q, bit in enumerate(reversed(bin(row))):
+            if bit == "1":
+                out |= a.rows[q]
+        return out
+
+    frontiers = [1]
+    for _ in range(n + 1):
+        frontiers.append(times_a(frontiers[-1]))
+    assert len(set(frontiers)) == n + 2
+    entries = {
+        (group, byte): times_a(byte << 8 * group)
+        for frontier in frontiers[32 : n + 1]
+        for group, byte in enumerate(frontier.to_bytes(n // 8, "little"))
+        if byte
+    }
+    row_bytes = sys.getsizeof((1 << n) - 1)
+    bound = (2 * n + 1) * row_bytes + n // 8 * sys.getsizeof([None] * 256)
+    bound += sys.getsizeof(dict.fromkeys(range(n + 1))) + (64 << 10)
+    assert sum(map(sys.getsizeof, entries.values())) > bound
+    tracemalloc.start()
+    try:
+        before = mul_calls()
+        reached = row_times_power(a, 1, n + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mul_calls() == before
+    assert reached == frontiers[n + 1]
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------

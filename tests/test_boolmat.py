@@ -1,6 +1,6 @@
 import pytest
 
-from nfakit import Nfa, accepts_length
+from nfakit import Nfa, accepts_length, boolmat
 from nfakit.boolmat import (
     WALK_MAX_BITS,
     BoolMatrix,
@@ -254,6 +254,47 @@ def test_row_times_power_matches_power():
                 if row >> i & 1:
                     expected |= m.rows[i]
             assert row_times_power(a, row, e) == expected
+
+
+def test_row_times_power_walks_dense_frontiers_through_capped_tables(monkeypatch):
+    # a dense vector moved by a permutation, with a few extra edges or none,
+    # stays dense and does not repeat within dim + 1 steps. From step 33 the
+    # walk reads it through tables, whose bytes there would fill more than
+    # dim entries: the walk fills at most dim, and ORs the rows of the rest
+    fills = []
+    fill_entry = boolmat._fill_entry
+
+    def counted(*args):  # _fill_entry fills one entry per call, recursive ones too
+        fills.append(args)
+        return fill_entry(*args)
+
+    monkeypatch.setattr(boolmat, "_fill_entry", counted)
+    rng = seeded(122)
+    capped = 0
+    for dim in (48, 64, 97):
+        for extra in (0, 0, 2, 3):
+            rows = list(permutation_matrix(rng, dim).rows)
+            for _ in range(extra):
+                rows[rng.randrange(dim)] |= 1 << rng.randrange(dim)
+            a = BoolMatrix(dim, tuple(rows))
+            row = rng.getrandbits(dim) | 1
+            vectors = [row]
+            for _ in range(dim + 1):
+                vectors.append(per_bit_product(vectors[-1:], a.rows)[0])
+            for e in range(dim + 2):
+                fills.clear()
+                assert row_times_power(a, row, e) == vectors[e]
+                assert len(fills) <= dim
+            needed = {
+                (group, v >> 8 * group & 0xFF)
+                for v in vectors[32 : dim + 1]
+                if v.bit_count() > WALK_MAX_BITS
+                for group in range((dim + 7) // 8)
+            }
+            capped += len({pair for pair in needed if pair[1]}) > dim
+            for e in (dim + 2, 3 * dim + 1, (1 << 64) - 1, rng.getrandbits(64)):
+                assert row_times_power(a, row, e) == per_bit_product([row], power(a, e).rows)[0]
+    assert capped >= 6
 
 
 def test_row_times_power_rejects_bad_input():

@@ -525,6 +525,18 @@ def test_bench_sizes_are_capped_before_any_nfa_is_built(monkeypatch, capsys):
         assert captured.err.startswith(f"error: size must be in 1..{MAX_STATES}, got ")
 
 
+def test_bench_trials_are_capped_before_any_nfa_is_built(monkeypatch, capsys):
+    def refuse(n, seed):
+        raise AssertionError(f"built a {n}-state NFA")
+
+    monkeypatch.setattr(cli, "random_layered_nfa", refuse)
+    for trials, shown in (("1001", "1001"), ("9" * 20, "9" * 20), ("9" * 21, "<21 digits>")):
+        assert main(["bench", "--sizes", "1", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: trials must be in 1..1000, got {shown}\n"
+
+
 def test_bench_rejects_non_decimal_sizes_and_zero_trials(capsys):
     for argv in (
         ["--sizes", "1_6"],

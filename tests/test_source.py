@@ -79,8 +79,9 @@ def test_only_automata_and_cli_read_transitions():
 def test_only_boolmat_builds_four_russians_tables():
     # boolmat._row_times owns the tables' shape: it grows the list by one
     # slot per group of 8 rows and fills a slot with a 256-entry table,
-    # [0] + [None] * 255; mul and simulate hand it a bare [], so a second
-    # builder of tables, or a caller that pre-sizes the list, fails here
+    # [0] + [None] * 255; mul, simulate and row_times_power hand it a bare
+    # [], so a second builder of tables, or a caller that pre-sizes the
+    # list, fails here
     kernel = None
     padded, entries, per_group = [], [], []
     for path in sorted(SOURCE.glob("*.py")):
@@ -103,7 +104,11 @@ def test_only_boolmat_builds_four_russians_tables():
     assert kernel and kernel[0] == "boolmat.py" and len(padded) == 2
     assert all(name == kernel[0] and line in kernel[1] for name, line in padded)
     assert len(entries) == 1 and entries[0][0] == "boolmat.py"
-    for module, caller in (("boolmat.py", "mul"), ("accept.py", "simulate")):
+    for module, caller in (
+        ("boolmat.py", "mul"),
+        ("accept.py", "simulate"),
+        ("boolmat.py", "row_times_power"),
+    ):
         (func,) = [
             node
             for node in ast.parse((SOURCE / module).read_text(encoding="utf-8")).body
