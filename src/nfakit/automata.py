@@ -75,6 +75,14 @@ class Nfa:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
 
 
+def _trusted_nfa(*fields) -> Nfa:
+    """An Nfa built without __post_init__, for a caller that has checked
+    each field as it does and given each its stored type (cli.parse_nfa)."""
+    nfa = object.__new__(Nfa)
+    nfa.__dict__.update(zip(Nfa.__dataclass_fields__, fields))
+    return nfa
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; edges are stored as (min, max) vertex pairs."""

@@ -9,11 +9,14 @@ ignored; the header lines
     final [<id> ...]
 
 come first (in any order, each exactly once), followed by one
-"<from> <sym> <to>" line per transition. Graph files start with "<n> <m>"
-followed by m undirected edge lines "<u> <v>". Orthogonal-vectors files
-start with "<n> <d>" followed by n lines "v <bits>" and then n lines
-"w <bits>", each bitstring of length d. Files are UTF-8 text whose lines
-end at '\n', '\r\n' or a lone '\r'; a leading byte-order mark is skipped.
+"<from> <sym> <to>" line per transition. A batch of transition lines all
+in that plain form (single spaces, no comment) is converted in bulk, any
+other batch line by line, by the same rules with the same errors. Graph
+files start with "<n> <m>" followed by m undirected edge lines "<u> <v>".
+Orthogonal-vectors files start with "<n> <d>" followed by n lines
+"v <bits>" and then n lines "w <bits>", each bitstring of length d. Files
+are UTF-8 text whose lines end at '\n', '\r\n' or a lone '\r'; a leading
+byte-order mark is skipped.
 Numbers are ASCII decimal digits; a number with more digits than int()
 converts is malformed.
 An NFA file may declare at most MAX_STATES states, a graph file at most
@@ -31,13 +34,15 @@ from __future__ import annotations
 import argparse
 import codecs
 import random
+import re
 import statistics
 import sys
 import time
 from dataclasses import fields
+from itertools import islice
 
 from .accept import SymbolNotInAlphabetError, accepts_length, enumerate_naive, simulate
-from .automata import Graph, Nfa, NotAcyclicError, NotUnaryError, _is_symbol, validate
+from .automata import Graph, Nfa, NotAcyclicError, NotUnaryError, _is_symbol, _trusted_nfa, validate
 from .boolmat import mul_calls
 from .enumeration import enumerate_fast
 from .reductions import (
@@ -82,19 +87,23 @@ def _lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-def _content_lines(text: str):
-    """Yield (line_number, tokens) for non-blank, non-comment lines."""
-    for number, raw in enumerate(_lines(text), 1):
+def _content_lines(lines, first: int = 1):
+    """Yield (line_number, tokens) for non-blank, non-comment lines, from line `first` on."""
+    for number, raw in enumerate(lines, first):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         yield number, stripped.split()
 
 
-def _int_token(token: str, what: str, line: int | None = None) -> int:
+def _is_decimal(text: str) -> bool:
     # int() also takes '_', a sign and non-ASCII digits such as '٢';
     # str.isdigit() alone also takes superscripts such as '²'
-    if not (token.isascii() and token.isdigit()):
+    return text.isascii() and text.isdigit()
+
+
+def _int_token(token: str, what: str, line: int | None = None) -> int:
+    if not _is_decimal(token):
         raise ParseError(f"{what} must be a decimal integer, got {token!r}", line)
     try:
         return int(token, 10)
@@ -110,12 +119,33 @@ def _shown(number: int) -> str:
 
 
 _NFA_HEADERS = ("states", "alphabet", "start", "final")
+# Plain transition lines, read in bulk: blank or "<from> <sym> <to>" with single
+# spaces, \S being what str.split() keeps. In a sweep, batches of 512 to 8192
+# lines read as fast, and the heap over the kept Nfa grew with the batch
+_PLAIN_LINES = re.compile(r"(?:\S+ \S \S+)?(?:\n(?:\S+ \S \S+)?)*")
+_BATCH_LINES = 2048
+
+
+def _plain_transitions(batch: list[str], symbols: set[str], state_count: int):
+    """A batch's triples if each of its lines is plain and passes the per-line rules."""
+    block = "\n".join(batch)
+    if _PLAIN_LINES.fullmatch(block):
+        tokens = block.split()
+        numbers, labels = tokens[0::3] + tokens[2::3], tokens[1::3]
+        if _is_decimal("".join(numbers)) and symbols.issuperset(labels):
+            try:
+                numbers = list(map(int, numbers))
+            except ValueError:  # more digits than int() converts
+                return None
+            if max(numbers) < state_count:
+                return zip(numbers, labels, numbers[len(labels) :])
+    return None
 
 
 def parse_nfa(text: str) -> Nfa:
-    lines = _content_lines(text)
+    lines = iter(_lines(text))  # the header reads from it, then the batches
     header_lines: dict[str, int] = {}  # header key -> its line number
-    for line, tokens in lines:
+    for line, tokens in _content_lines(lines):
         key = tokens[0]
         if key in header_lines:
             raise ParseError(f"duplicate '{key}' line", line)
@@ -154,25 +184,31 @@ def parse_nfa(text: str) -> Nfa:
         if not 0 <= q < state_count:
             raise ParseError(f"final state {_shown(q)} out of range", header_lines["final"])
     transitions = []
+    first = line + 1  # the number of the next batch's first line
     try:
-        for line, tokens in lines:
-            if len(tokens) != 3:
-                raise ParseError("expected '<from> <sym> <to>'", line)
-            src = _int_token(tokens[0], "source state", line)
-            sym = tokens[1]
-            dst = _int_token(tokens[2], "target state", line)
-            if sym not in symbols:
-                raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
-            if not (0 <= src < state_count and 0 <= dst < state_count):
-                raise ParseError("transition state out of range", line)
-            transitions.append((src, sym, dst))
+        while batch := list(islice(lines, _BATCH_LINES)):
+            if (plain := _plain_transitions(batch, symbols, state_count)) is not None:
+                transitions.extend(plain)
+            else:
+                for line, tokens in _content_lines(batch, first):
+                    if len(tokens) != 3:
+                        raise ParseError("expected '<from> <sym> <to>'", line)
+                    src = _int_token(tokens[0], "source state", line)
+                    sym = tokens[1]
+                    dst = _int_token(tokens[2], "target state", line)
+                    if sym not in symbols:
+                        raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
+                    if not (0 <= src < state_count and 0 <= dst < state_count):
+                        raise ParseError("transition state out of range", line)
+                    transitions.append((src, sym, dst))
+            first += len(batch)
     except ParseError:
         # all four headers are read, so a header line here is a second copy;
         # its key is not a number, so it has failed as a transition first
         if tokens[0] in _NFA_HEADERS:
             raise ParseError(f"duplicate '{tokens[0]}' line", line) from None
         raise
-    return Nfa(state_count, alphabet, start, frozenset(finals), frozenset(transitions))
+    return _trusted_nfa(state_count, alphabet, start, frozenset(finals), frozenset(transitions))
 
 
 def serialize_nfa(nfa: Nfa) -> str:
@@ -190,7 +226,7 @@ def serialize_nfa(nfa: Nfa) -> str:
 def _first_line(text: str, kind: str, form: str, first: str, second: str):
     """Read the two-number first line of a graph or vectors file; returns its
     line number, both numbers and the iterator of the content lines after it."""
-    lines = _content_lines(text)
+    lines = _content_lines(_lines(text))
     line, tokens = next(lines, (None, None))
     if tokens is None:
         raise ParseError(f"empty {kind} file")
@@ -237,9 +273,9 @@ def parse_ov(text: str) -> OvInstance:
         if len(tokens) != 2 or tokens[0] != expected:
             raise ParseError(f"expected '{expected} <bitstring>'", line)
         bits = tokens[1]
-        if len(bits) != d or any(ch not in "01" for ch in bits):
+        if len(bits) != d or bits.strip("01"):
             raise ParseError(f"bitstring must be {d} characters of 0/1, got {bits!r}", line)
-        sides[expected].append(tuple(int(ch) for ch in bits))
+        sides[expected].append(tuple(map({"0": 0, "1": 1}.__getitem__, bits)))
     found = len(sides["v"]) + len(sides["w"])
     if found != 2 * n:
         raise ParseError(f"expected {2 * n} vector lines, found {found}")

@@ -5,11 +5,13 @@ code, never a traceback."""
 import io
 import itertools
 import random
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import pytest
 
-from nfakit import cli
+from nfakit import Nfa, OvInstance, cli, reduce_ov
 from nfakit.cli import main
 
 
@@ -428,3 +430,129 @@ def test_only_newline_and_carriage_return_break_lines(tmp_path):
             code, stdout, err = run(["validate", str(path)])
             assert (code, stdout) == (2, "")
             assert err.startswith(f"error: {path}: line 4: not UTF-8 text"), (mark, end, err)
+
+
+# ---------------------------------------------------------------------------
+# parse_nfa's two lanes: a batch of plain transition lines is read in bulk,
+# every other batch by the per-line rules
+
+
+def parse_outcome(text):
+    """parse_nfa's Nfa, or its error's message and line."""
+    try:
+        nfa = cli.parse_nfa(text)
+    except cli.ParseError as exc:
+        return exc.message, exc.line
+    # the parser skips Nfa's own checks, so it may build only what Nfa accepts
+    assert nfa == Nfa(*(getattr(nfa, field.name) for field in fields(Nfa)))
+    return nfa
+
+
+def assert_lanes_agree(text):
+    # a space at the end of a line leaves its meaning and its number as they
+    # were, and takes its batch off the bulk lane; with that lane shut, the
+    # per-line rules read every batch, whatever the lane's pattern takes
+    outcome = parse_outcome(text)
+    spaced = "\n".join(line + " " for line in cli._lines(text))
+    assert parse_outcome(spaced) == outcome, text
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_plain_transitions", lambda *args: None)
+        assert parse_outcome(text) == outcome, text
+
+
+def bulk_batches(monkeypatch):
+    """Record, per batch read, whether the bulk lane took it."""
+    taken, bulk = [], cli._plain_transitions
+
+    def spy(*args):
+        triples = bulk(*args)
+        taken.append(triples is not None)
+        return triples
+
+    monkeypatch.setattr(cli, "_plain_transitions", spy)
+    return taken
+
+
+HEAD = "states 5\nalphabet a b\nstart 0\nfinal 4\n"
+PLAIN = [f"{q} {'ab'[q % 2]} {(q + 1) % 5}" for q in range(5)]
+NOT_DECIMAL = "{} state must be a decimal integer, got {!r}"
+TOO_LONG = "{} state has 4301 digits, too many to convert"
+
+
+@pytest.mark.parametrize(
+    "text, expected, bulk",
+    [
+        (HEAD + "\n".join(PLAIN) + "\n", None, True),
+        (HEAD + "\n".join(PLAIN[:2]) + "\n\n" + "\n".join(PLAIN[2:]), None, True),
+        (HEAD + "# note\n" + "\n".join(PLAIN) + "\n", None, False),
+        # read as two triples, "1 0 2" and "0 1 4", the tokens would shift lines
+        (
+            "states 5\nalphabet 0 1\nstart 0\nfinal 4\n1 0\n2 0 1 4\n",
+            ("expected '<from> <sym> <to>'", 5),
+            False,
+        ),
+        ("states 3\nalphabet 0 1 2\nstart 0\nfinal 2\n0 1 2\n2 0 1\n1 2 0\n", None, True),
+        (HEAD + "0\ta\t1\n1  b 2\n", None, False),
+        (HEAD + "0 a 1\n0\u2028a 1\n1 b\u20282\n", None, False),
+        (HEAD + "0 a \u0662\n", (NOT_DECIMAL.format("target", "\u0662"), 5), False),
+        (HEAD + "0 a 1\n\u00b2 b 1\n", (NOT_DECIMAL.format("source", "\u00b2"), 6), False),
+        (HEAD + "0 a +1\n", (NOT_DECIMAL.format("target", "+1"), 5), False),
+        (HEAD + "0 a 004\n", None, True),
+        (HEAD + "0 a " + "9" * 4301 + "\n", (TOO_LONG.format("target"), 5), False),
+        (HEAD + "0" * 4301 + " a 1\n", (TOO_LONG.format("source"), 5), False),
+        (HEAD + "0 a 1\n1 c 2\n", ("transition symbol 'c' not in alphabet", 6), False),
+        (HEAD + "0 a 1\n1 ab 2\n", ("transition symbol 'ab' not in alphabet", 6), False),
+        (HEAD + "0 a 1\n1 b 5\n", ("transition state out of range", 6), False),
+        (HEAD + "0 a 1\nstates 5\n", ("duplicate 'states' line", 6), False),
+    ],
+    ids=lambda value: ascii(value[len(HEAD) :])[:40] if isinstance(value, str) else None,
+)
+def test_bulk_and_per_line_lanes_agree(text, expected, bulk, monkeypatch):
+    taken = bulk_batches(monkeypatch)
+    assert_lanes_agree(text)
+    # the bulk lane took the plain text's one batch, and not the spaced one's
+    assert taken == [bulk, False]
+    outcome = parse_outcome(text)
+    assert isinstance(outcome, Nfa) if expected is None else outcome == expected
+
+
+def test_an_error_in_a_later_batch_names_its_file_line(monkeypatch):
+    batch = cli._BATCH_LINES
+    lines = [f"{q % 5} a {(q + 1) % 5}" for q in range(2 * batch)]
+    lines[batch + 3] = "0 c 1"
+    text = HEAD + "\n".join(lines) + "\n"
+    taken = bulk_batches(monkeypatch)
+    # the header's 4 lines come first; lines[batch + 3] is file line batch + 8
+    assert parse_outcome(text) == ("transition symbol 'c' not in alphabet", batch + 8)
+    assert taken[0] and not taken[1]
+    assert_lanes_agree(text)
+
+
+def test_hostile_nfa_files_read_alike_in_both_lanes(tmp_path, monkeypatch):
+    commands = ("validate", "accept-length", "enumerate", "simulate")
+    for batch in (1, 2, cli._BATCH_LINES):
+        monkeypatch.setattr(cli, "_BATCH_LINES", batch)
+        for argv in hostile_cases(8123, 600, tmp_path):
+            if argv[0] in commands and len(argv) > 1:
+                data = (tmp_path / "input.txt").read_bytes()
+                assert_lanes_agree(data.decode("utf-8").removeprefix("\ufeff"))
+
+
+def test_parse_nfa_heap_is_the_nfa_it_keeps_and_one_batch():
+    # beside the Nfa it returns, parse_nfa holds the file's lines (freed
+    # before the triples become a frozenset), the list of triples (8 bytes
+    # each) and one batch of _BATCH_LINES lines: its text, its tokens and
+    # their numbers, about 0.4 MiB at 2048 lines. Read as one batch, the
+    # 21,000 transition lines below would hold about 6 MiB more
+    d = 24
+    vectors = tuple(tuple((i >> k) & 1 for k in range(d)) for i in range(150))
+    text = cli.serialize_nfa(reduce_ov(OvInstance(150, d, vectors, vectors[::-1])).nfa)
+    assert text.count("\n") > 20_000
+    tracemalloc.start()
+    try:
+        nfa = cli.parse_nfa(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(nfa.transitions) > 20_000
+    assert peak - kept < 1 << 20

@@ -5,13 +5,15 @@ import random
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfakit import Nfa, OvInstance, ov_brute, reduce_ov, simulate
+from nfakit import Nfa, OvInstance, cli, ov_brute, reduce_ov, simulate
 from nfakit.automata import _successor_rows
 from nfakit.boolmat import WALK_MAX_BITS, _row_times
 from nfakit.cli import parse_nfa, serialize_nfa
+
+from test_cli_input import assert_lanes_agree
 
 # '#' starts a comment line in NFA files, so it is worth a round trip
 SYMBOLS = ("a", "b", "#")
@@ -45,6 +47,49 @@ def set_frontier(nfa, word):
 @given(nfas())
 def test_serialize_then_parse_is_identity(nfa):
     assert parse_nfa(serialize_nfa(nfa)) == nfa
+
+
+def recut(first, second, cut):
+    """Two lines holding the six tokens of two lines, the first holding `cut`."""
+    tokens = f"{first} {second}".split(" ")
+    return " ".join(tokens[:cut]) + "\n" + " ".join(tokens[cut:])
+
+
+@st.composite
+def nfa_texts(draw):
+    """NFA files of valid plain "<from> <sym> <to>" lines with up to two other
+    lines put in: lines that break a per-line rule or are not plain."""
+    n = draw(st.integers(1, 6))
+    alphabet = draw(st.sampled_from((("a",), ("a", "b"), ("0", "1"), ("1", "#"))))
+    head = [f"states {n}", " ".join(["alphabet", *alphabet]), "start 0", "final 0"]
+    state, symbol = st.integers(0, n - 1).map(str), st.sampled_from(alphabet)
+    valid = st.builds("{} {} {}".format, state, symbol, state)
+    # n is out of range; 'c' and 'ab' are in no alphabet
+    wrong = st.builds("{} {} {}".format, st.just(str(n)), symbol, state) | st.builds(
+        "{} {} {}".format, state, st.sampled_from(("c", "ab")), state
+    )
+    # read as one block, these tokens would make two valid triples
+    shifted = st.builds(recut, valid, valid, st.sampled_from((1, 2, 4, 5)))
+    token = state | symbol | st.sampled_from(("\u0662", "\u00b2", "+1", "007", "9" * 4301))
+    other = st.builds(
+        lambda tokens, gap, end: gap.join(tokens) + end,
+        st.lists(token, min_size=3, max_size=3) | st.lists(token, max_size=4),
+        st.sampled_from((" ", "  ", "\t", "\u2028", "\u00a0")),
+        st.sampled_from(("", " ")),
+    )
+    lines = draw(st.lists(valid, max_size=12))
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(st.one_of(wrong, shifted, other, st.sampled_from(("", "# c"))))
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    return "\n".join(head + lines) + draw(st.sampled_from(("", "\n")))
+
+
+@settings(max_examples=300)
+@given(nfa_texts(), st.integers(1, 4))
+def test_bulk_and_per_line_lanes_agree_on_generated_files(text, batch):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_BATCH_LINES", batch)
+        assert_lanes_agree(text)
 
 
 @given(st.data())

@@ -131,8 +131,10 @@ def test_only_automata_builds_bit_masks_from_bytes():
 
 def test_line_breaks_and_integer_tokens_each_have_one_owner():
     # cli._lines alone decides where a line ends (str.splitlines() also
-    # breaks at U+2028 and others), and cli._int_token alone turns a token
-    # into an integer, so each input rule and its errors live in one place
+    # breaks at U+2028 and others), cli._int_token alone turns a token into
+    # an integer with an error, and cli._is_decimal alone says which tokens
+    # are numbers, for _int_token and for parse_nfa's bulk lane, so each
+    # input rule and its errors live in one place
     splitters = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.glob("*.py"))
@@ -154,6 +156,30 @@ def test_line_breaks_and_integer_tokens_each_have_one_owner():
         and len(node.args) + len(node.keywords) == 2
     ]
     assert conversions and all(owner.lineno <= line <= owner.end_lineno for line in conversions)
+    (rule,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_is_decimal"
+    ]
+    spellings = [
+        (path.name, node.lineno)
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("isdigit", "isdecimal", "isnumeric")
+        or isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.search(r"0-9|\\d|0123456789", node.value)
+    ]
+    assert spellings
+    assert all(name == "cli.py" and rule.lineno <= at <= rule.end_lineno for name, at in spellings)
+    users = {
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_is_decimal"
+    }
+    assert users == {"_int_token", "_plain_transitions"}
 
 
 def test_traced_benchmark_targets_resolve():
