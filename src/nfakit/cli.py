@@ -185,29 +185,24 @@ def parse_nfa(text: str) -> Nfa:
             raise ParseError(f"final state {_shown(q)} out of range", header_lines["final"])
     transitions = []
     first = line + 1  # the number of the next batch's first line
-    try:
-        while batch := list(islice(lines, _BATCH_LINES)):
-            if (plain := _plain_transitions(batch, symbols, state_count)) is not None:
-                transitions.extend(plain)
-            else:
-                for line, tokens in _content_lines(batch, first):
-                    if len(tokens) != 3:
-                        raise ParseError("expected '<from> <sym> <to>'", line)
-                    src = _int_token(tokens[0], "source state", line)
-                    sym = tokens[1]
-                    dst = _int_token(tokens[2], "target state", line)
-                    if sym not in symbols:
-                        raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
-                    if not (0 <= src < state_count and 0 <= dst < state_count):
-                        raise ParseError("transition state out of range", line)
-                    transitions.append((src, sym, dst))
-            first += len(batch)
-    except ParseError:
-        # all four headers are read, so a header line here is a second copy;
-        # its key is not a number, so it has failed as a transition first
-        if tokens[0] in _NFA_HEADERS:
-            raise ParseError(f"duplicate '{tokens[0]}' line", line) from None
-        raise
+    while batch := list(islice(lines, _BATCH_LINES)):
+        if (plain := _plain_transitions(batch, symbols, state_count)) is not None:
+            transitions.extend(plain)
+        else:
+            for line, tokens in _content_lines(batch, first):
+                if tokens[0] in header_lines:
+                    raise ParseError(f"duplicate '{tokens[0]}' line", line)
+                if len(tokens) != 3:
+                    raise ParseError("expected '<from> <sym> <to>'", line)
+                src = _int_token(tokens[0], "source state", line)
+                sym = tokens[1]
+                dst = _int_token(tokens[2], "target state", line)
+                if sym not in symbols:
+                    raise ParseError(f"transition symbol {sym!r} not in alphabet", line)
+                if not (0 <= src < state_count and 0 <= dst < state_count):
+                    raise ParseError("transition state out of range", line)
+                transitions.append((src, sym, dst))
+        first += len(batch)
     return _trusted_nfa(state_count, alphabet, start, frozenset(finals), frozenset(transitions))
 
 
@@ -267,19 +262,18 @@ def parse_ov(text: str) -> OvInstance:
     states = ov_state_count(n, d)
     if states > MAX_STATES:
         raise ParseError(f"n={n}, d={d} reduces to {states} states, more than {MAX_STATES}", line)
-    sides: dict[str, list[tuple[int, ...]]] = {"v": [], "w": []}
-    for index, (line, tokens) in enumerate(lines):
-        expected = "v" if index < n else "w"
+    vectors: list[tuple[int, ...]] = []  # the n v-vectors, then the n w-vectors
+    for line, tokens in lines:
+        expected = "v" if len(vectors) < n else "w"
         if len(tokens) != 2 or tokens[0] != expected:
             raise ParseError(f"expected '{expected} <bitstring>'", line)
         bits = tokens[1]
         if len(bits) != d or bits.strip("01"):
             raise ParseError(f"bitstring must be {d} characters of 0/1, got {bits!r}", line)
-        sides[expected].append(tuple(map({"0": 0, "1": 1}.__getitem__, bits)))
-    found = len(sides["v"]) + len(sides["w"])
-    if found != 2 * n:
-        raise ParseError(f"expected {2 * n} vector lines, found {found}")
-    return OvInstance(n, d, tuple(sides["v"]), tuple(sides["w"]))
+        vectors.append(tuple(map({"0": 0, "1": 1}.__getitem__, bits)))
+    if len(vectors) != 2 * n:
+        raise ParseError(f"expected {2 * n} vector lines, found {len(vectors)}")
+    return OvInstance(n, d, tuple(vectors[:n]), tuple(vectors[n:]))
 
 
 def random_layered_nfa(n: int, seed: int) -> Nfa:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .automata import Graph, Nfa
-from .boolmat import BoolMatrix, mul
+from .boolmat import BoolMatrix, _check_size, mul
 
 UNARY_LETTER = "a"
 BITS = ("0", "1")
@@ -42,8 +42,8 @@ class OvInstance:
     w: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not all(isinstance(x, int) and x >= 1 for x in (self.n, self.d)):
-            raise ValueError(f"need integers n, d >= 1, got n={self.n!r}, d={self.d!r}")
+        _check_size("n", self.n)
+        _check_size("d", self.d)
         object.__setattr__(self, "v", tuple(tuple(vec) for vec in self.v))
         object.__setattr__(self, "w", tuple(tuple(vec) for vec in self.w))
         for name, side in (("v", self.v), ("w", self.w)):

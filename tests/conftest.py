@@ -21,6 +21,24 @@ else:
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+# tests that take over 2 s each; `pytest -m "not slow"` runs the rest
+SLOW = {
+    "tests/test_acceptance.py::test_criterion_1_triangle_reduction_exhaustive",
+    "tests/test_acceptance.py::test_criterion_4_enumeration_equivalence",
+    "tests/test_acceptance.py::test_criterion_7_ov_reduction",
+    "tests/test_source.py::test_benchmark_selfcheck_passes_on_a_copy",
+    "tests/test_accept.py::test_enumerate_heap_does_not_grow_with_the_states_scanned",
+    "tests/test_fuzz.py::test_bulk_and_per_line_lanes_agree_on_generated_files",
+    "tests/test_automata.py::test_no_path_keeps_the_bit_rows_of_a_large_automaton",
+}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.nodeid in SLOW:
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture(autouse=True, scope="session")
 def checkout_on_subprocess_path():
     """Let subprocesses such as `python -m nfakit.cli` import this checkout,

@@ -518,14 +518,19 @@ def test_bulk_and_per_line_lanes_agree(text, expected, bulk, monkeypatch):
 
 def test_an_error_in_a_later_batch_names_its_file_line(monkeypatch):
     batch = cli._BATCH_LINES
-    lines = [f"{q % 5} a {(q + 1) % 5}" for q in range(2 * batch)]
-    lines[batch + 3] = "0 c 1"
-    text = HEAD + "\n".join(lines) + "\n"
     taken = bulk_batches(monkeypatch)
-    # the header's 4 lines come first; lines[batch + 3] is file line batch + 8
-    assert parse_outcome(text) == ("transition symbol 'c' not in alphabet", batch + 8)
-    assert taken[0] and not taken[1]
-    assert_lanes_agree(text)
+    for bad, message in (
+        ("0 c 1", "transition symbol 'c' not in alphabet"),
+        ("final 0", "duplicate 'final' line"),
+    ):
+        lines = [f"{q % 5} a {(q + 1) % 5}" for q in range(2 * batch)]
+        lines[batch + 3] = bad
+        text = HEAD + "\n".join(lines) + "\n"
+        taken.clear()
+        # the header's 4 lines come first; lines[batch + 3] is file line batch + 8
+        assert parse_outcome(text) == (message, batch + 8)
+        assert taken[0] and not taken[1]
+        assert_lanes_agree(text)
 
 
 def test_hostile_nfa_files_read_alike_in_both_lanes(tmp_path, monkeypatch):

@@ -236,13 +236,15 @@ def test_ov_state_count_is_the_reductions_size():
 
 
 def test_ov_instance_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be >= 1"):
         OvInstance(0, 1, (), ())
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        OvInstance(1, 0, ((),), ((),))
     with pytest.raises(ValueError):
         OvInstance(1, 2, ((0, 1),), ((0,),))
     with pytest.raises(ValueError):
         OvInstance(1, 1, ((2,),), ((0,),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n must be an integer"):
         OvInstance(2.0, 1, ((0,), (1,)), ((1,), (0,)))
     with pytest.raises(ValueError, match="expected 2 w-vectors"):
         OvInstance(2, 1, ((0,), (1,)), ((1,),))
