@@ -8,7 +8,7 @@ All values are immutable after construction; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable
+from typing import Container, Iterable, Sequence
 
 from .boolmat import BoolMatrix, _check_size
 
@@ -175,12 +175,17 @@ def validate(nfa: Nfa) -> ValidationReport:
     )
 
 
-def require_unary_acyclic(nfa: Nfa) -> None:
-    """Raise NotUnaryError or NotAcyclicError unless both properties hold."""
+def require_unary_acyclic(nfa: Nfa) -> list[list[int]]:
+    """Raise NotUnaryError or NotAcyclicError unless both properties hold.
+
+    Returns the successor lists that the acyclicity check walked.
+    """
     if len(nfa.alphabet) != 1:
         raise NotUnaryError("alphabet must contain exactly one symbol")
-    if not _is_acyclic(_successor_lists(nfa)):
+    fwd = _successor_lists(nfa)
+    if not _is_acyclic(fwd):
         raise NotAcyclicError("transition diagram must be acyclic")
+    return fwd
 
 
 def trim(nfa: Nfa) -> Nfa:
@@ -236,12 +241,23 @@ def _mask(states: Iterable[StateId], n: int) -> int:
     return int.from_bytes(bits, "little")
 
 
-def adjacency_matrix(nfa: Nfa) -> BoolMatrix:
-    """Bit (i, j) set iff some transition i -> j exists on any symbol."""
-    rows = [0] * nfa.state_count
+def adjacency_matrix(nfa: Nfa, states: Sequence[StateId] | None = None) -> BoolMatrix:
+    """Bit (i, j) set iff some transition i -> j exists on any symbol.
+
+    Given states, ascending and closed under transitions, row and column i
+    stand for states[i] and every other state is left out.
+    """
+    if states is None:  # no index lookups: accepts_length builds one per query
+        rows = [0] * nfa.state_count
+        for src, _sym, dst in nfa.transitions:
+            rows[src] |= 1 << dst
+        return BoolMatrix(nfa.state_count, tuple(rows))
+    index = {q: i for i, q in enumerate(states)}
+    rows = [0] * len(states)
     for src, _sym, dst in nfa.transitions:
-        rows[src] |= 1 << dst
-    return BoolMatrix(nfa.state_count, tuple(rows))
+        if src in index:
+            rows[index[src]] |= 1 << index[dst]
+    return BoolMatrix(len(states), tuple(rows))
 
 
 def finals_mask(nfa: Nfa) -> int:

@@ -48,16 +48,27 @@ def test_pad_exact_power_of_two_boundary():
     assert m.dim == 8 + 8
 
 
+def reachable_states(nfa):
+    """The states the start reaches, ascending: a walk over the triples."""
+    seen, frontier = {nfa.start}, {nfa.start}
+    while frontier:
+        frontier = {dst for src, _sym, dst in nfa.transitions if src in frontier} - seen
+        seen |= frontier
+    return sorted(seen)
+
+
 def test_pad_touches_chain_states_only_as_a_path():
     nfa = random_layered_nfa(11, 77)
     m = pad_with_chain(nfa)
-    n, chain = nfa.state_count, 16
-    assert m.dim == n + chain
+    states, chain = reachable_states(nfa), 16
+    r = len(states)
+    assert r < nfa.state_count
+    assert m.dim == r + chain
     incident = [
-        (i, j) for i, row in enumerate(m.rows) for j in successors(row) if i >= n or j >= n
+        (i, j) for i, row in enumerate(m.rows) for j in successors(row) if i >= r or j >= r
     ]
-    expected = [(n + i, n + i + 1) for i in range(chain - 1)]
-    expected.append((n + chain - 1, nfa.start))
+    expected = [(r + i, r + i + 1) for i in range(chain - 1)]
+    expected.append((r + chain - 1, states.index(nfa.start)))
     assert sorted(incident) == sorted(expected)
 
 
@@ -94,15 +105,27 @@ def random_dag_nfa(n, seed):
 
 
 def test_pad_keeps_the_automaton_rows():
+    trimmed = 0
     for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 40):
         for seed in range(5):
             nfa = random_dag_nfa(n, 1000 * n + seed)
             m = pad_with_chain(nfa)
-            assert m.rows[:n] == adjacency_matrix(nfa).rows
-            assert m.dim == n + (1 << (n - 1).bit_length())
+            states = reachable_states(nfa)
+            r = len(states)
+            trimmed += r < n
+            full = adjacency_matrix(nfa).rows
+            # row i is states[i]'s full row with column states[j] moved to j
+            assert m.rows[:r] == tuple(
+                sum(1 << j for j, q in enumerate(states) if full[p] >> q & 1) for p in states
+            )
+            assert all(full[p] >> q & 1 == 0 for p in states for q in range(n) if q not in states)
+            assert m.dim == r + (1 << (n - 1).bit_length())
+            assert {states[i] for i in range(r) if m.finals >> i & 1} == nfa.finals & set(states)
+            assert m.finals >> r == 0
             mask = finals_mask(nfa)
             assert {q for q in range(n) if mask >> q & 1} == nfa.finals
             assert mask >> n == 0
+    assert trimmed > 10
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +159,70 @@ def test_fast_uses_exactly_k_squarings():
         before = mul_calls()
         enumerate_fast(nfa)
         assert mul_calls() - before == expected_k
+
+
+def with_unreachable_states(nfa, extra, seed):
+    """nfa with extra states appended that its start cannot reach, joined by
+    forward edges among themselves and into nfa's states, then relabelled
+    by a seeded permutation."""
+    rng = random.Random(seed)
+    n, total = nfa.state_count, nfa.state_count + extra
+    transitions = set(nfa.transitions)
+    for p in range(n, total):
+        for q in rng.sample(range(total), min(3, total)):
+            if q < n or q > p:
+                transitions.add((p, "a", q))
+    finals = set(nfa.finals) | {p for p in range(n, total) if rng.random() < 0.5}
+    label = list(range(total))
+    rng.shuffle(label)
+    return Nfa(
+        total,
+        ("a",),
+        label[nfa.start],
+        frozenset(label[q] for q in finals),
+        frozenset((label[p], "a", label[q]) for p, _sym, q in transitions),
+    )
+
+
+def test_fast_ignores_states_the_start_cannot_reach():
+    rng = random.Random(2525)
+    for n, total in ((1, 2), (3, 5), (7, 9), (8, 9), (16, 17), (12, 33), (30, 64), (40, 65)):
+        for trial in range(4):
+            nfa = random_layered_nfa(n, rng.randrange(10**6))
+            big = with_unreachable_states(nfa, total - n, rng.randrange(10**6))
+            assert len(reachable_states(big)) <= n
+            before = mul_calls()
+            got = enumerate_fast(big)
+            assert mul_calls() - before == (total - 1).bit_length()
+            assert got == enumerate_naive(big) == enumerate_fast(nfa)
+
+
+def test_fast_squares_the_reachable_states_and_the_chain_only(monkeypatch):
+    real_mul = nfakit.enumeration.mul
+    dims = []
+
+    def spy(a, b):
+        dims.append(a.dim)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(nfakit.enumeration, "mul", spy)
+    for total in (5, 9, 17, 40):
+        nfa = with_unreachable_states(random_layered_nfa(4, total), total - 4, total)
+        dims.clear()
+        assert enumerate_fast(nfa) == enumerate_naive(nfa)
+        k = (total - 1).bit_length()
+        assert dims == [len(reachable_states(nfa)) + (1 << k)] * k
+
+
+def test_fast_start_reaching_no_final_squares_k_times():
+    for n in (2, 3, 5, 9, 33):
+        # the start steps to state 1 only; the finals lie beyond it, unreached
+        transitions = {(0, "a", 1)} | {(q, "a", q + 1) for q in range(2, n - 1)}
+        for finals in (set(), {n - 1} if n > 2 else set(), set(range(2, n))):
+            nfa = Nfa(n, ("a",), 0, frozenset(finals), frozenset(transitions))
+            before = mul_calls()
+            assert enumerate_fast(nfa) == () == enumerate_naive(nfa)
+            assert mul_calls() - before == (n - 1).bit_length()
 
 
 def test_fast_frees_each_operand_before_the_next_squaring(monkeypatch):
