@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 import weakref
 
 import pytest
 
 import nfakit.enumeration
 from nfakit import (
+    BoolMatrix,
     Nfa,
     NotAcyclicError,
     NotUnaryError,
@@ -13,6 +15,7 @@ from nfakit import (
     enumerate_fast,
     enumerate_naive,
     finals_mask,
+    mul,
     mul_calls,
     pad_with_chain,
 )
@@ -33,19 +36,26 @@ def successors(row):
 
 
 def test_pad_smallest_case():
-    m = pad_with_chain(Nfa(1, ("a",), 0, frozenset({0}), frozenset()))
-    assert m.dim == 2
-    assert m.rows == (0, 1 << 0)
+    a, b, finals = pad_with_chain(Nfa(1, ("a",), 0, frozenset({0}), frozenset()))
+    assert (a.dim, a.rows) == (1, (0,))
+    assert b == [1 << 0]
+    assert finals == 1
 
 
 def test_pad_rounds_up_to_power_of_two():
-    m = pad_with_chain(chain_nfa(5, {4}))
-    assert m.dim == 5 + 8
+    a, b, finals = pad_with_chain(chain_nfa(5, {4}))
+    assert a.dim == 5
+    assert b == [0] * 7 + [1 << 0]
+    assert finals == 1 << 4
 
 
 def test_pad_exact_power_of_two_boundary():
-    m = pad_with_chain(chain_nfa(8, {7}))
-    assert m.dim == 8 + 8
+    a, b, _finals = pad_with_chain(chain_nfa(8, {7}))
+    assert a.dim == 8
+    assert len(b) == 8
+    a, b, _finals = pad_with_chain(chain_nfa(9, {8}))
+    assert a.dim == 9
+    assert len(b) == 16
 
 
 def reachable_states(nfa):
@@ -57,13 +67,24 @@ def reachable_states(nfa):
     return sorted(seen)
 
 
+def dense_padded(a, b):
+    """The padded matrix [[A, 0], [B, S]] with every row stored: A's rows,
+    then chain state i as row r + i, stepping to chain state i + 1 (S) and,
+    through B, to the states of row i of B."""
+    r, chain = a.dim, len(b)
+    shift = [1 << (r + i + 1) if i + 1 < chain else 0 for i in range(chain)]
+    return BoolMatrix(r + chain, a.rows + tuple(s | row for s, row in zip(shift, b)))
+
+
 def test_pad_touches_chain_states_only_as_a_path():
     nfa = random_layered_nfa(11, 77)
-    m = pad_with_chain(nfa)
+    a, b, _finals = pad_with_chain(nfa)
     states, chain = reachable_states(nfa), 16
     r = len(states)
     assert r < nfa.state_count
-    assert m.dim == r + chain
+    assert (a.dim, len(b)) == (r, chain)
+    assert [i for i, row in enumerate(b) if row] == [chain - 1]
+    m = dense_padded(a, b)
     incident = [
         (i, j) for i, row in enumerate(m.rows) for j in successors(row) if i >= r or j >= r
     ]
@@ -74,10 +95,11 @@ def test_pad_touches_chain_states_only_as_a_path():
 
 def test_chain_distance_to_original_start():
     nfa = chain_nfa(6, {5})
-    m = pad_with_chain(nfa)
+    a, b, _finals = pad_with_chain(nfa)
+    m = dense_padded(a, b)
     n = nfa.state_count
-    chain = m.dim - n
-    assert chain == 8
+    chain = len(b)
+    assert (a.dim, chain) == (n, 8)
     for i in range(chain):
         # breadth-first walk from chain state i down to the original start
         frontier = {n + i}
@@ -109,19 +131,20 @@ def test_pad_keeps_the_automaton_rows():
     for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 40):
         for seed in range(5):
             nfa = random_dag_nfa(n, 1000 * n + seed)
-            m = pad_with_chain(nfa)
+            a, b, finals = pad_with_chain(nfa)
             states = reachable_states(nfa)
             r = len(states)
             trimmed += r < n
             full = adjacency_matrix(nfa).rows
             # row i is states[i]'s full row with column states[j] moved to j
-            assert m.rows[:r] == tuple(
+            assert a.dim == r
+            assert a.rows == tuple(
                 sum(1 << j for j, q in enumerate(states) if full[p] >> q & 1) for p in states
             )
             assert all(full[p] >> q & 1 == 0 for p in states for q in range(n) if q not in states)
-            assert m.dim == r + (1 << (n - 1).bit_length())
-            assert {states[i] for i in range(r) if m.finals >> i & 1} == nfa.finals & set(states)
-            assert m.finals >> r == 0
+            assert b == [0] * ((1 << (n - 1).bit_length()) - 1) + [1 << states.index(nfa.start)]
+            assert {states[i] for i in range(r) if finals >> i & 1} == nfa.finals & set(states)
+            assert finals >> r == 0
             mask = finals_mask(nfa)
             assert {q for q in range(n) if mask >> q & 1} == nfa.finals
             assert mask >> n == 0
@@ -211,7 +234,24 @@ def test_fast_squares_the_reachable_states_and_the_chain_only(monkeypatch):
         dims.clear()
         assert enumerate_fast(nfa) == enumerate_naive(nfa)
         k = (total - 1).bit_length()
-        assert dims == [len(reachable_states(nfa)) + (1 << k)] * k
+        # the chain's blocks are rows ORed beside the products, never squared
+        assert dims == [len(reachable_states(nfa))] * k
+
+
+def test_fast_matches_the_dense_padded_square():
+    # the padded matrix with every row stored, squared k times, read on
+    # chain rows 0..r-1 against the finals: the layout the blocks replace
+    rng = random.Random(2626)
+    for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 33):
+        for _ in range(6):
+            nfa = random_dag_nfa(n, rng.randrange(10**6))
+            a, b, finals = pad_with_chain(nfa)
+            m = dense_padded(a, b)
+            for _ in range((n - 1).bit_length()):
+                m = mul(m, m)
+            r = a.dim
+            readout = tuple(i for i, row in enumerate(m.rows[r : 2 * r]) if row & finals)
+            assert enumerate_fast(nfa) == readout == enumerate_naive(nfa)
 
 
 def test_fast_start_reaching_no_final_squares_k_times():
@@ -248,3 +288,20 @@ def test_fast_membership_matches_accepts_length():
         members = set(enumerate_fast(nfa))
         for ell in range(nfa.state_count):
             assert accepts_length(nfa, ell) == (ell in members)
+
+
+def test_fast_heap_stays_linear_in_the_chain_on_a_transition_free_automaton():
+    # one reachable state, but k comes from the state count, so the chain
+    # still has 2**14 states; its rows are B's 16,384 ints of one bit, not
+    # a padded matrix whose rows run 2**14 + 1 bits
+    nfa = Nfa(16384, ("a",), 0, frozenset({0}), frozenset())
+    tracemalloc.start()
+    try:
+        before = mul_calls()
+        got = enumerate_fast(nfa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0,)
+    assert mul_calls() - before == 14
+    assert peak < 4 << 20

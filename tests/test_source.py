@@ -79,9 +79,9 @@ def test_only_automata_and_cli_read_transitions():
 def test_only_boolmat_builds_four_russians_tables():
     # boolmat._row_times owns the tables' shape: it grows the list by one
     # slot per group of 8 rows and fills a slot with a 256-entry table,
-    # [0] + [None] * 255; mul, simulate and row_times_power hand it a bare
-    # [], so a second builder of tables, or a caller that pre-sizes the
-    # list, fails here
+    # [0] + [None] * 255; mul, simulate, row_times_power and enumerate_fast
+    # hand it a bare [], so a second builder of tables, or a caller that
+    # pre-sizes the list, fails here
     kernel = None
     padded, entries, per_group = [], [], []
     for path in sorted(SOURCE.glob("*.py")):
@@ -108,6 +108,7 @@ def test_only_boolmat_builds_four_russians_tables():
         ("boolmat.py", "mul"),
         ("accept.py", "simulate"),
         ("boolmat.py", "row_times_power"),
+        ("enumeration.py", "enumerate_fast"),
     ):
         (func,) = [
             node
