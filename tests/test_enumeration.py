@@ -36,26 +36,30 @@ def successors(row):
 
 
 def test_pad_smallest_case():
-    a, b, finals = pad_with_chain(Nfa(1, ("a",), 0, frozenset({0}), frozenset()))
+    a, w, finals, k = pad_with_chain(Nfa(1, ("a",), 0, frozenset({0}), frozenset()))
     assert (a.dim, a.rows) == (1, (0,))
-    assert b == [1 << 0]
+    # one chain state, 2**0, whose row of B is the window's only row
+    assert (k, w) == (0, [1 << 0])
     assert finals == 1
 
 
 def test_pad_rounds_up_to_power_of_two():
-    a, b, finals = pad_with_chain(chain_nfa(5, {4}))
-    assert a.dim == 5
-    assert b == [0] * 7 + [1 << 0]
+    a, w, finals, k = pad_with_chain(chain_nfa(5, {4}))
+    assert (a.dim, a.rows) == (5, (1 << 1, 1 << 2, 1 << 3, 1 << 4, 0))
+    assert k == 3
+    assert w == [1 << 0] + [0] * 4
+    # chain rows 0..6 step down the chain; row 7, the last, feeds the start
+    chain_rows = dense_padded(a, w[0], k).rows[5:]
+    assert chain_rows == (1 << 6, 1 << 7, 1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12, 1 << 0)
     assert finals == 1 << 4
 
 
 def test_pad_exact_power_of_two_boundary():
-    a, b, _finals = pad_with_chain(chain_nfa(8, {7}))
-    assert a.dim == 8
-    assert len(b) == 8
-    a, b, _finals = pad_with_chain(chain_nfa(9, {8}))
-    assert a.dim == 9
-    assert len(b) == 16
+    a, w, _finals, k = pad_with_chain(chain_nfa(8, {7}))
+    assert (a.dim, len(w), k) == (8, 8, 3)
+    a, w, _finals, k = pad_with_chain(chain_nfa(9, {8}))
+    assert (a.dim, len(w), k) == (9, 9, 4)
+    assert len(dense_padded(a, w[0], k).rows) == 9 + 16
 
 
 def reachable_states(nfa):
@@ -67,24 +71,26 @@ def reachable_states(nfa):
     return sorted(seen)
 
 
-def dense_padded(a, b):
+def dense_padded(a, start, k):
     """The padded matrix [[A, 0], [B, S]] with every row stored: A's rows,
     then chain state i as row r + i, stepping to chain state i + 1 (S) and,
-    through B, to the states of row i of B."""
-    r, chain = a.dim, len(b)
+    through B, to the states of row i of B. B has 2**k rows, all zero but
+    the last chain state's, which is start."""
+    r, chain = a.dim, 1 << k
+    b = [0] * (chain - 1) + [start]
     shift = [1 << (r + i + 1) if i + 1 < chain else 0 for i in range(chain)]
     return BoolMatrix(r + chain, a.rows + tuple(s | row for s, row in zip(shift, b)))
 
 
 def test_pad_touches_chain_states_only_as_a_path():
     nfa = random_layered_nfa(11, 77)
-    a, b, _finals = pad_with_chain(nfa)
+    a, w, _finals, k = pad_with_chain(nfa)
     states, chain = reachable_states(nfa), 16
     r = len(states)
     assert r < nfa.state_count
-    assert (a.dim, len(b)) == (r, chain)
-    assert [i for i, row in enumerate(b) if row] == [chain - 1]
-    m = dense_padded(a, b)
+    assert (a.dim, 1 << k) == (r, chain)
+    assert w == [1 << states.index(nfa.start)] + [0] * (r - 1)
+    m = dense_padded(a, w[0], k)
     incident = [
         (i, j) for i, row in enumerate(m.rows) for j in successors(row) if i >= r or j >= r
     ]
@@ -95,11 +101,12 @@ def test_pad_touches_chain_states_only_as_a_path():
 
 def test_chain_distance_to_original_start():
     nfa = chain_nfa(6, {5})
-    a, b, _finals = pad_with_chain(nfa)
-    m = dense_padded(a, b)
+    a, w, _finals, k = pad_with_chain(nfa)
+    m = dense_padded(a, w[0], k)
     n = nfa.state_count
-    chain = len(b)
+    chain = 1 << k
     assert (a.dim, chain) == (n, 8)
+    assert w == [1 << 0] + [0] * (n - 1)
     for i in range(chain):
         # breadth-first walk from chain state i down to the original start
         frontier = {n + i}
@@ -131,7 +138,7 @@ def test_pad_keeps_the_automaton_rows():
     for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 40):
         for seed in range(5):
             nfa = random_dag_nfa(n, 1000 * n + seed)
-            a, b, finals = pad_with_chain(nfa)
+            a, w, finals, k = pad_with_chain(nfa)
             states = reachable_states(nfa)
             r = len(states)
             trimmed += r < n
@@ -142,7 +149,9 @@ def test_pad_keeps_the_automaton_rows():
                 sum(1 << j for j, q in enumerate(states) if full[p] >> q & 1) for p in states
             )
             assert all(full[p] >> q & 1 == 0 for p in states for q in range(n) if q not in states)
-            assert b == [0] * ((1 << (n - 1).bit_length()) - 1) + [1 << states.index(nfa.start)]
+            # 2**k is the smallest power of two at least n
+            assert 1 << k >= n and (k == 0 or 1 << k - 1 < n)
+            assert w == [1 << states.index(nfa.start)] + [0] * (r - 1)
             assert {states[i] for i in range(r) if finals >> i & 1} == nfa.finals & set(states)
             assert finals >> r == 0
             mask = finals_mask(nfa)
@@ -238,6 +247,46 @@ def test_fast_squares_the_reachable_states_and_the_chain_only(monkeypatch):
         assert dims == [len(reachable_states(nfa))] * k
 
 
+def window_dag_nfa(n, reach, seed):
+    """Unary DAG from state 0: each state steps to 3 of the next reach states."""
+    rng = random.Random(seed)
+    transitions = {
+        (i, "a", j)
+        for i in range(n - 1)
+        for j in rng.sample(range(i + 1, min(i + reach, n - 1) + 1), min(3, n - 1 - i))
+    }
+    finals = frozenset(q for q in range(n) if rng.random() < 0.25)
+    return Nfa(n, ("a",), 0, finals, frozenset(transitions))
+
+
+def test_fast_row_products_fill_the_window_from_live_rows_only(monkeypatch):
+    # B's row products: at most one per window row past the first, none
+    # once A**h is zero, and none whose operand has a bit on a zero row of
+    # the A**h it multiplies
+    real_row_times = nfakit.enumeration._row_times
+    calls = []
+
+    def spy(row, brows, *rest):
+        calls.append(any(brows) and all(brows[j] for j in successors(row)))
+        return real_row_times(row, brows, *rest)
+
+    monkeypatch.setattr(nfakit.enumeration, "_row_times", spy)
+    rng = random.Random(2727)
+    instances = [random_dag_nfa(n, rng.randrange(10**6)) for n in (2, 5, 9, 17, 40, 90)]
+    instances += [random_layered_nfa(n, rng.randrange(10**6)) for n in (3, 8, 33, 100, 300)]
+    instances += [window_dag_nfa(n, 16, rng.randrange(10**6)) for n in (20, 64, 150, 300)]
+    for nfa in instances:
+        calls.clear()
+        assert enumerate_fast(nfa) == enumerate_naive(nfa)
+        assert len(calls) <= len(reachable_states(nfa)) - 1
+        assert all(calls)
+    assert sum(len(reachable_states(nfa)) >= 16 for nfa in instances) >= 6
+    # one reachable state: the window has no row to fill
+    calls.clear()
+    assert enumerate_fast(Nfa(16384, ("a",), 0, frozenset({0}), frozenset())) == (0,)
+    assert calls == []
+
+
 def test_fast_matches_the_dense_padded_square():
     # the padded matrix with every row stored, squared k times, read on
     # chain rows 0..r-1 against the finals: the layout the blocks replace
@@ -245,9 +294,10 @@ def test_fast_matches_the_dense_padded_square():
     for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 33):
         for _ in range(6):
             nfa = random_dag_nfa(n, rng.randrange(10**6))
-            a, b, finals = pad_with_chain(nfa)
-            m = dense_padded(a, b)
-            for _ in range((n - 1).bit_length()):
+            a, w, finals, k = pad_with_chain(nfa)
+            assert k == (n - 1).bit_length()
+            m = dense_padded(a, w[0], k)
+            for _ in range(k):
                 m = mul(m, m)
             r = a.dim
             readout = tuple(i for i, row in enumerate(m.rows[r : 2 * r]) if row & finals)
