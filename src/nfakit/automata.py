@@ -8,7 +8,7 @@ All values are immutable after construction; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .boolmat import BoolMatrix, _check_size
 
@@ -119,11 +119,16 @@ class ValidationReport:
     unary: bool
 
 
-def _successor_lists(nfa: Nfa) -> list[list[int]]:
+def _successor_lists(nfa: Nfa) -> tuple[list[list[int]], bool]:
+    """The successor lists, in one pass over the transitions, and whether
+    every edge p -> q ascends (q > p)."""
     fwd: list[list[int]] = [[] for _ in range(nfa.state_count)]
+    ascending = True
     for src, _sym, dst in nfa.transitions:
         fwd[src].append(dst)
-    return fwd
+        if dst <= src:
+            ascending = False
+    return fwd, ascending
 
 
 def _closure(adj: list[list[int]], roots: Iterable[int]) -> set[int]:
@@ -146,7 +151,11 @@ def _live_states(nfa: Nfa, fwd: list[list[int]]) -> tuple[set[int], set[int]]:
     return _closure(fwd, [nfa.start]), _closure(rev, nfa.finals)
 
 
-def _is_acyclic(fwd: list[list[int]]) -> bool:
+def _is_acyclic(fwd: list[list[int]], ascending: bool) -> bool:
+    # every cycle has an edge p -> q with q <= p, the one leaving its
+    # largest state; with none, ascending order is topological
+    if ascending:
+        return True
     # Kahn: peel states of in-degree zero; a cycle keeps its states unpeeled
     indegree = [0] * len(fwd)
     for succ in fwd:
@@ -165,12 +174,12 @@ def _is_acyclic(fwd: list[list[int]]) -> bool:
 
 def validate(nfa: Nfa) -> ValidationReport:
     """Report start-reachability, coaccessibility, acyclicity and unarity."""
-    fwd = _successor_lists(nfa)
+    fwd, ascending = _successor_lists(nfa)
     reachable, coreachable = _live_states(nfa, fwd)
     return ValidationReport(
         initially_connected=len(reachable) == nfa.state_count,
         coaccessible=len(coreachable) == nfa.state_count,
-        acyclic=_is_acyclic(fwd),
+        acyclic=_is_acyclic(fwd, ascending),
         unary=len(nfa.alphabet) == 1,
     )
 
@@ -178,12 +187,16 @@ def validate(nfa: Nfa) -> ValidationReport:
 def require_unary_acyclic(nfa: Nfa) -> list[list[int]]:
     """Raise NotUnaryError or NotAcyclicError unless both properties hold.
 
-    Returns the successor lists that the acyclicity check walked.
+    Returns the successor lists, built in one pass over the transitions.
+    The same pass proves acyclicity when every edge p -> q ascends (q > p):
+    a cycle has an edge that does not, the one leaving its largest state.
+    Only when some edge does not ascend does Kahn's peel run over all the
+    states. Either way a cycle anywhere is refused, reachable or not.
     """
     if len(nfa.alphabet) != 1:
         raise NotUnaryError("alphabet must contain exactly one symbol")
-    fwd = _successor_lists(nfa)
-    if not _is_acyclic(fwd):
+    fwd, ascending = _successor_lists(nfa)
+    if not _is_acyclic(fwd, ascending):
         raise NotAcyclicError("transition diagram must be acyclic")
     return fwd
 
@@ -194,7 +207,7 @@ def trim(nfa: Nfa) -> Nfa:
     Renumbering preserves the relative order of surviving state indices.
     Raises EmptyLanguageError when no final state is reachable from start.
     """
-    reachable, coreachable = _live_states(nfa, _successor_lists(nfa))
+    reachable, coreachable = _live_states(nfa, _successor_lists(nfa)[0])
     keep = sorted(reachable & coreachable)
     if not keep:
         raise EmptyLanguageError("no final state is reachable from the start state")
@@ -241,23 +254,28 @@ def _mask(states: Iterable[StateId], n: int) -> int:
     return int.from_bytes(bits, "little")
 
 
-def adjacency_matrix(nfa: Nfa, states: Sequence[StateId] | None = None) -> BoolMatrix:
+def adjacency_matrix(
+    nfa: Nfa, index: Mapping[StateId, int] | None = None, fwd: Sequence[list[int]] = ()
+) -> BoolMatrix:
     """Bit (i, j) set iff some transition i -> j exists on any symbol.
 
-    Given states, ascending and closed under transitions, row and column i
-    stand for states[i] and every other state is left out.
+    Given index, which numbers 0..len(index)-1 a set of states closed under
+    transitions, and fwd, the successor lists of require_unary_acyclic,
+    row and column index[q] stand for state q and every other state is left
+    out. Only the lists of the states in index are read, not the transitions.
     """
-    if states is None:  # no index lookups: accepts_length builds one per query
+    if index is None:  # no index lookups: accepts_length builds one per query
         rows = [0] * nfa.state_count
         for src, _sym, dst in nfa.transitions:
             rows[src] |= 1 << dst
         return BoolMatrix(nfa.state_count, tuple(rows))
-    index = {q: i for i, q in enumerate(states)}
-    rows = [0] * len(states)
-    for src, _sym, dst in nfa.transitions:
-        if src in index:
-            rows[index[src]] |= 1 << index[dst]
-    return BoolMatrix(len(states), tuple(rows))
+    rows = [0] * len(index)
+    for q, i in index.items():
+        row = 0
+        for dst in fwd[q]:
+            row |= 1 << index[dst]
+        rows[i] = row
+    return BoolMatrix(len(index), tuple(rows))
 
 
 def finals_mask(nfa: Nfa) -> int:

@@ -23,11 +23,12 @@ def pad_with_chain(nfa: Nfa) -> tuple[BoolMatrix, list[int], int, int]:
     chain has 2**k states, k from the state count. w holds r rows of B: w[0]
     is the last chain state's row, which feeds the start; the rest are zero.
     """
-    states = sorted(_closure(require_unary_acyclic(nfa), [nfa.start]))
-    w = [0] * len(states)
-    w[0] = 1 << states.index(nfa.start)
-    finals = _mask([i for i, q in enumerate(states) if q in nfa.finals], len(states))
-    return adjacency_matrix(nfa, states), w, finals, (nfa.state_count - 1).bit_length()
+    fwd = require_unary_acyclic(nfa)
+    index = {q: i for i, q in enumerate(sorted(_closure(fwd, [nfa.start])))}
+    w = [0] * len(index)
+    w[0] = 1 << index[nfa.start]
+    finals = _mask([i for q, i in index.items() if q in nfa.finals], len(index))
+    return adjacency_matrix(nfa, index, fwd), w, finals, (nfa.state_count - 1).bit_length()
 
 
 def enumerate_fast(nfa: Nfa) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from nfakit import (
     trim,
     validate,
 )
+from nfakit.automata import _successor_lists
 from nfakit.cli import MAX_STATES, serialize_nfa
 
 from conftest import random_nfa, seeded
@@ -137,6 +138,28 @@ def test_validate_detects_cycles_and_binary_alphabets():
     assert not validate(self_loop).acyclic
     binary = Nfa(1, ("a", "b"), 0, frozenset({0}), frozenset())
     assert not validate(binary).unary
+
+
+def test_successor_lists_note_exactly_whether_every_edge_ascends():
+    # the order proof: no edge p -> q with q <= p; a self-loop is such an edge
+    rng = seeded(28)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        transitions = {
+            (p, rng.choice("ab"), q) for p in range(n) for q in range(p + 1, n) if rng.random() < 0.3
+        }
+        if rng.random() < 0.5:
+            p = rng.randrange(n)
+            transitions.add((p, "a", rng.choice([p, rng.randrange(p + 1)])))
+        nfa = Nfa(n, ("a", "b"), 0, frozenset(), frozenset(transitions))
+        fwd, ascending = _successor_lists(nfa)
+        assert sorted((p, q) for p, succ in enumerate(fwd) for q in succ) == sorted(
+            (p, q) for p, _sym, q in transitions
+        )
+        assert ascending == all(q > p for p, _sym, q in transitions)
+        verdicts.append(ascending)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from nfakit import (
     mul,
     mul_calls,
     pad_with_chain,
+    validate,
 )
-from nfakit.cli import random_layered_nfa
+from nfakit.automata import _successor_lists, require_unary_acyclic
+from nfakit.cli import main, random_layered_nfa, serialize_nfa
 
 
 def chain_nfa(n, finals):
@@ -340,10 +342,11 @@ def test_fast_membership_matches_accepts_length():
             assert accepts_length(nfa, ell) == (ell in members)
 
 
-def test_fast_heap_stays_linear_in_the_chain_on_a_transition_free_automaton():
-    # one reachable state, but k comes from the state count, so the chain
-    # still has 2**14 states; its rows are B's 16,384 ints of one bit, not
-    # a padded matrix whose rows run 2**14 + 1 bits
+def test_fast_heap_on_a_transition_free_automaton_is_the_successor_lists():
+    # one reachable state: A is one row, B's window one row that makes no
+    # row product, and k still comes from the state count, so 14 products
+    # of a 1-row A. What the bound holds is the acyclicity check's successor
+    # lists, one empty list for each of the 16,384 states
     nfa = Nfa(16384, ("a",), 0, frozenset({0}), frozenset())
     tracemalloc.start()
     try:
@@ -355,3 +358,105 @@ def test_fast_heap_stays_linear_in_the_chain_on_a_transition_free_automaton():
     assert got == (0,)
     assert mul_calls() - before == 14
     assert peak < 4 << 20
+
+
+# ---------------------------------------------------------------------------
+# the acyclicity check: one pass, a proof of order, Kahn's peel otherwise
+
+
+def unary_nfa(n, finals, edges):
+    return Nfa(n, ("a",), 0, frozenset(finals), frozenset((p, "a", q) for p, q in edges))
+
+
+CYCLIC = {
+    # 0 -> 1 -> 2 is all the start reaches; every edge ascends but 5 -> 3
+    "unreachable 3-cycle": unary_nfa(6, {2, 4}, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
+    "unreachable self-loop": unary_nfa(5, {2}, [(0, 1), (1, 2), (3, 3), (3, 4)]),
+    "2-cycle": unary_nfa(5, {4}, [(0, 1), (1, 2), (2, 3), (3, 2), (3, 4)]),
+    "self-loop off state 0": unary_nfa(4, {3}, [(0, 1), (1, 2), (2, 2), (2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC))
+def test_every_cycle_is_refused_reachable_or_not(name, tmp_path, capsys):
+    nfa = CYCLIC[name]
+    with pytest.raises(NotAcyclicError):
+        enumerate_fast(nfa)
+    with pytest.raises(NotAcyclicError):
+        enumerate_naive(nfa)
+    assert not validate(nfa).acyclic
+    path = tmp_path / "cyclic.nfa"
+    path.write_text(serialize_nfa(nfa))
+    for engine in ("fast", "naive"):
+        assert main(["enumerate", str(path), "--engine", engine]) == 1
+        assert "acyclic" in capsys.readouterr().err
+
+
+def relabelled(nfa, label):
+    return Nfa(
+        nfa.state_count,
+        nfa.alphabet,
+        label[nfa.start],
+        frozenset(label[q] for q in nfa.finals),
+        frozenset((label[p], sym, label[q]) for p, sym, q in nfa.transitions),
+    )
+
+
+def test_descending_acyclic_automata_take_the_kahn_fallback(tmp_path, capsys):
+    rng = random.Random(2802)
+    for trial in range(60):
+        n = 2 + trial % 40
+        nfa = random_layered_nfa(n, rng.randrange(10**6))
+        if trial % 2:  # every edge descends
+            label = list(range(n - 1, -1, -1))
+        else:
+            label = rng.sample(range(n), n)
+        big = relabelled(nfa, label)
+        assert not _successor_lists(big)[1]
+        assert validate(big).acyclic
+        assert enumerate_fast(big) == enumerate_naive(big) == enumerate_fast(nfa)
+        if trial < 6:
+            path = tmp_path / "dag.nfa"
+            path.write_text(serialize_nfa(big))
+            assert main(["enumerate", str(path)]) == 0
+            assert capsys.readouterr().out == "".join(f"{t}\n" for t in enumerate_naive(nfa))
+
+
+class CountingTransitions(frozenset):
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_fast_reads_the_transitions_once():
+    nfa = random_layered_nfa(40, 2803)
+    for big in (nfa, relabelled(nfa, list(range(39, -1, -1)))):
+        expected = enumerate_naive(big)
+        counted = CountingTransitions(big.transitions)
+        object.__setattr__(big, "transitions", counted)
+        assert enumerate_fast(big) == expected
+        assert counted.iterations == 1
+
+
+def test_restricted_adjacency_is_the_full_one_on_the_states():
+    rng = random.Random(2804)
+    instances = [random_dag_nfa(n, rng.randrange(10**6)) for n in (1, 2, 5, 9, 17, 40) * 3]
+    instances += [
+        with_unreachable_states(random_layered_nfa(n, rng.randrange(10**6)), extra, seed)
+        for n, extra, seed in ((1, 1, 1), (3, 2, 2), (7, 9, 3), (12, 21, 4), (30, 34, 5))
+    ]
+    for nfa in instances:
+        fwd = require_unary_acyclic(nfa)
+        states = reachable_states(nfa)
+        full = adjacency_matrix(nfa).rows
+        # in ascending order, as pad_with_chain numbers them, then shuffled
+        for order in (states, rng.sample(states, len(states))):
+            index = {q: i for i, q in enumerate(order)}
+            got = adjacency_matrix(nfa, index, fwd)
+            assert got.dim == len(order)
+            assert got.rows == tuple(
+                sum(1 << j for j, q in enumerate(order) if full[p] >> q & 1) for p in order
+            )
+    assert sum(len(reachable_states(nfa)) < nfa.state_count for nfa in instances) >= 10
