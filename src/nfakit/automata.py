@@ -76,8 +76,14 @@ class Nfa:
 
 
 def _trusted_nfa(*fields) -> Nfa:
-    """An Nfa built without __post_init__, for a caller that has checked
-    each field as it does and given each its stored type (cli.parse_nfa)."""
+    """An Nfa built without __post_init__: the package's one way to build one.
+
+    Its callers are the checked parser (cli.parse_nfa) and constructions
+    from checked values (reduce_triangle, reduce_ov, trim and
+    cli.random_layered_nfa). It relies on every field being valid and
+    already of its stored type: a tuple alphabet and frozenset finals and
+    transitions, so that the Nfa equals Nfa(*fields) and hashes.
+    """
     nfa = object.__new__(Nfa)
     nfa.__dict__.update(zip(Nfa.__dataclass_fields__, fields))
     return nfa
@@ -144,10 +150,12 @@ def _closure(adj: list[list[int]], roots: Iterable[int]) -> set[int]:
 
 
 def _live_states(nfa: Nfa, fwd: list[list[int]]) -> tuple[set[int], set[int]]:
-    """States reachable from the start, and states that reach a final state."""
+    """States reachable from the start, and states that reach a final state;
+    the reverse lists come from fwd, not from a second pass over the triples."""
     rev: list[list[int]] = [[] for _ in fwd]
-    for src, _sym, dst in nfa.transitions:
-        rev[dst].append(src)
+    for src, succ in enumerate(fwd):
+        for dst in succ:
+            rev[dst].append(src)
     return _closure(fwd, [nfa.start]), _closure(rev, nfa.finals)
 
 
@@ -218,7 +226,7 @@ def trim(nfa: Nfa) -> Nfa:
         if src in remap and dst in remap
     )
     finals = frozenset(remap[q] for q in nfa.finals if q in remap)
-    return Nfa(len(keep), nfa.alphabet, remap[nfa.start], finals, transitions)
+    return _trusted_nfa(len(keep), nfa.alphabet, remap[nfa.start], finals, transitions)
 
 
 def _successor_rows(

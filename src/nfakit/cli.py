@@ -287,7 +287,7 @@ def random_layered_nfa(n: int, seed: int) -> Nfa:
     finals = {q for q in range(n) if rng.random() < 0.25}
     if not finals:
         finals = {rng.randrange(n)}
-    return Nfa(n, ("a",), 0, frozenset(finals), frozenset(transitions))
+    return _trusted_nfa(n, ("a",), 0, frozenset(finals), frozenset(transitions))
 
 
 def _load(parse, path: str):

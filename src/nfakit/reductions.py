@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .automata import Graph, Nfa
+from .automata import Graph, Nfa, _trusted_nfa
 from .boolmat import BoolMatrix, _check_size, mul
 
 UNARY_LETTER = "a"
@@ -94,13 +94,7 @@ def reduce_triangle(graph: Graph) -> TriangleReduction:
         for layer in range(3):
             transitions.add((layer * n + u, UNARY_LETTER, (layer + 1) * n + v))
             transitions.add((layer * n + v, UNARY_LETTER, (layer + 1) * n + u))
-    nfa = Nfa(
-        state_count=4 * n,
-        alphabet=(UNARY_LETTER,),
-        start=0,
-        finals=frozenset({4 * n - 1}),
-        transitions=transitions,
-    )
+    nfa = _trusted_nfa(4 * n, (UNARY_LETTER,), 0, frozenset({4 * n - 1}), frozenset(transitions))
     return TriangleReduction(nfa=nfa, target_length=n + 2)
 
 
@@ -192,12 +186,7 @@ def reduce_ov(inst: OvInstance) -> OvReduction:
     for s in range(bottom, state_count - 1):
         for ch in BITS:
             transitions.add((s, ch, s + 1))
-    nfa = Nfa(
-        state_count=state_count,
-        alphabet=BITS,
-        start=0,
-        finals=frozenset({y, state_count - 1}),
-        transitions=transitions,
-    )
+    finals = frozenset({y, state_count - 1})
+    nfa = _trusted_nfa(state_count, BITS, 0, finals, frozenset(transitions))
     word = "".join("00" + "".join(str(bit) for bit in wj) for wj in inst.w)
     return OvReduction(nfa=nfa, input=word)

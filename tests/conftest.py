@@ -73,5 +73,16 @@ def random_nfa(rng, max_states=10, alphabet=("a", "b"), max_out=2):
     return Nfa(n, tuple(alphabet), rng.randrange(n), finals, frozenset(transitions))
 
 
+def assert_built_as_checked(nfa):
+    """nfa, built without Nfa's checks, is what Nfa(*fields) builds: equal to
+    it, with each field of its stored type, and hashable. Equality alone
+    would pass a set of transitions, as a set equals a frozenset."""
+    fields = (nfa.state_count, nfa.alphabet, nfa.start, nfa.finals, nfa.transitions)
+    assert nfa == Nfa(*fields)
+    assert type(nfa.alphabet) is tuple
+    assert type(nfa.finals) is frozenset and type(nfa.transitions) is frozenset
+    hash(nfa)
+
+
 def seeded(seed):
     return random.Random(seed)

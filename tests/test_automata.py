@@ -20,7 +20,7 @@ from nfakit import (
 from nfakit.automata import _successor_lists
 from nfakit.cli import MAX_STATES, serialize_nfa
 
-from conftest import random_nfa, seeded
+from conftest import assert_built_as_checked, random_nfa, seeded
 
 C4 = Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
 
@@ -206,6 +206,20 @@ def test_trim_preserves_language_on_random_nfas():
             continue
         for word in words:
             assert simulate(nfa, word) == simulate(trimmed, word)
+
+
+def test_trim_builds_what_the_checked_constructor_builds():
+    rng = seeded(22)
+    trimmed = 0
+    for _ in range(200):
+        nfa = random_nfa(rng, max_states=12, alphabet=("a", "b", "c"))
+        try:
+            result = trim(nfa)
+        except EmptyLanguageError:
+            continue
+        assert_built_as_checked(result)
+        trimmed += 1
+    assert trimmed >= 50
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from nfakit.cli import (
 )
 from nfakit.reductions import ov_state_count
 
+from conftest import assert_built_as_checked
+
 C4_GRAPH = "4 4\n0 1\n1 2\n2 3\n3 0\n"
 K3_GRAPH = "3 3\n0 1\n1 2\n0 2\n"
 
@@ -42,6 +44,11 @@ def test_nfa_round_trip_on_constructed_nfas():
     cases.extend(random_layered_nfa(n, n) for n in (1, 2, 9, 40))
     for nfa in cases:
         assert parse_nfa(serialize_nfa(nfa)) == nfa
+
+
+def test_random_layered_nfa_is_what_the_checked_constructor_builds():
+    for n in range(1, 65):
+        assert_built_as_checked(random_layered_nfa(n, 31 * n))
 
 
 def test_nfa_parser_ignores_comments_and_blanks():

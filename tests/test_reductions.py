@@ -20,7 +20,7 @@ from nfakit import (
 )
 from nfakit.reductions import ov_state_count
 
-from conftest import all_graphs, random_graph, seeded
+from conftest import all_graphs, assert_built_as_checked, random_graph, seeded
 
 C4 = Graph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
 K3 = Graph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
@@ -80,6 +80,14 @@ def test_reduction_size_formula_on_seeded_graphs():
         red = reduce_triangle(g)
         assert red.nfa.state_count == 4 * n
         assert len(red.nfa.transitions) == 2 * (n - 1) + 6 * len(g.edges)
+
+
+def test_triangle_reduction_is_what_the_checked_constructor_builds():
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    rng = seeded(47)
+    graphs += [random_graph(rng.randint(1, 40), rng.random(), rng) for _ in range(40)]
+    for g in graphs:
+        assert_built_as_checked(reduce_triangle(g).nfa)
 
 
 def test_three_triangle_deciders_agree_exhaustively():
@@ -180,6 +188,14 @@ def test_ov_reduction_random_agreement():
         inst = random_ov_instance(rng, rng.randint(1, 6), rng.randint(1, 8))
         red = reduce_ov(inst)
         assert simulate(red.nfa, red.input) == ov_brute(inst)
+
+
+def test_ov_reduction_is_what_the_checked_constructor_builds():
+    rng = seeded(48)
+    for n in range(1, 7):
+        for d in range(1, 7):
+            for _ in range(3):
+                assert_built_as_checked(reduce_ov(random_ov_instance(rng, n, d)).nfa)
 
 
 def test_ov_reduction_is_acyclic_and_word_shaped():

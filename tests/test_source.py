@@ -183,6 +183,31 @@ def test_line_breaks_and_integer_tokens_each_have_one_owner():
     assert users == {"_int_token", "_plain_transitions"}
 
 
+def test_the_package_builds_every_nfa_through_trusted_nfa():
+    # the package builds its automata from checked values, so all of them
+    # go through automata._trusted_nfa and Nfa(...) is left to outside
+    # callers. That function alone calls object.__new__, on automata's own
+    # Nfa: the traced benchmark (perfbench/spans.py TARGETS) replaces the
+    # name Nfa in cli, enumeration and reductions with a wrapper function,
+    # so object.__new__(Nfa) there would get the wrapper, not the class
+    calls, news, builder = [], [], None
+    for path in sorted(SOURCE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Nfa":
+                calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef) and node.name == "_trusted_nfa":
+                builder = (path.name, range(node.lineno, node.end_lineno + 1))
+        news.extend(
+            (path.name, number)
+            for number, line in enumerate(text.splitlines(), 1)
+            if "object.__new__" in line
+        )
+    assert calls == []
+    assert builder and builder[0] == "automata.py" and len(news) == 1
+    assert all(name == builder[0] and line in builder[1] for name, line in news)
+
+
 def test_traced_benchmark_targets_resolve():
     # the traced benchmark run wraps these module attributes and silently
     # skips the ones that are missing, losing those layers' metrics
