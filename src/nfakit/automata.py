@@ -99,17 +99,21 @@ class Graph:
     def __post_init__(self):
         n = self.vertex_count
         _check_size("vertex_count", n)
-        normalized = set()
-        for edge in self.edges:
+        edges = self.edges if type(self.edges) is frozenset else tuple(self.edges)
+        ordered = True  # every edge is already a (min, max) pair
+        for edge in edges:
             if not (isinstance(edge, tuple) and len(edge) == 2):
                 raise ValueError(f"malformed edge {edge!r}")
             u, v = edge
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
-            if not all(isinstance(x, int) and 0 <= x < n for x in edge):
+            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {edge!r} needs integer vertices in 0..{n - 1}")
-            normalized.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(normalized))
+            if u > v:
+                ordered = False
+        if not (ordered and type(edges) is frozenset):
+            edges = frozenset((min(u, v), max(u, v)) for u, v in edges)
+        object.__setattr__(self, "edges", edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges

@@ -21,8 +21,9 @@ _METHODS = ("packed", "naive")
 # and simulate
 WALK_MAX_BITS = 16
 
-# steps row_times_power's walk takes before it holds tables, which a walk that
-# repeats sooner would not repay; they fill at most dim entries, one dense matrix
+# steps row_times_power's walk takes before it holds tables and its chain
+# mask, which a walk that repeats sooner would not repay; the tables fill at
+# most dim entries, one dense matrix
 _WALK_TABLES_AFTER = 32
 
 
@@ -116,23 +117,36 @@ def row_times_power(a: BoolMatrix, row: int, e: int) -> int:
     spent or it repeats; a repeat reduces e modulo the period and reads the
     result from the walk. It keeps at most dim + 1 vectors and dim table
     entries (see _WALK_TABLES_AFTER), to bound its heap: a frontier is a set
-    of states, whose period can be the lcm of its cycle lengths. Any exponent
-    left goes to squarings, low bit first, folding a**(2**j) into the vector
-    where bit j is set: at most floor(log2 e) products, one square at a time.
+    of states, whose period can be the lcm of its cycle lengths. From the
+    step it takes tables at, it also keeps one dim-bit mask of the states p
+    whose row is bit p + 1 alone and moves those by one shift (Shift-And,
+    as simulate does), so only the others reach the kernel and its tables.
+    Any exponent left goes to squarings, low bit first, folding a**(2**j)
+    into the vector where bit j is set: at most floor(log2 e) products, one
+    square at a time.
     """
     _check_exponent(e)
     if not isinstance(row, int) or row < 0 or row >> a.dim:
         raise ValueError(f"row must be an integer with bits in columns 0..{a.dim - 1}")
     seen = {}  # each vector of the walk, to the step it was first met at
-    tables = room = None  # the walk's tables, and how many entries they may still fill
+    tables = room = chain = other = None
     while row and e and len(seen) <= a.dim:
         if row in seen:
             start = seen[row]
             return list(seen)[start + e % (len(seen) - start)]
         if len(seen) == _WALK_TABLES_AFTER:
-            tables, room = [], [a.dim]
+            # the walk's tables, how many entries they may still fill, and
+            # the states whose only edge is p -> p + 1 (the chain) and the rest
+            tables, room, chain = [], [a.dim], 0
+            for p, arow in enumerate(a.rows):
+                if arow == 2 << p:
+                    chain |= 1 << p
+            other = ~chain
         seen[row] = len(seen)
-        row = _row_times(row, a.rows, tables, room=room)
+        if tables is None:
+            row = _row_times(row, a.rows)
+        else:  # chain states step by one shift, as in simulate, and reach no table
+            row = (row & chain) << 1 | _row_times(row & other, a.rows, tables, room=room)
         e -= 1
     square = a
     while True:

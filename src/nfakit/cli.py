@@ -9,10 +9,12 @@ ignored; the header lines
     final [<id> ...]
 
 come first (in any order, each exactly once), followed by one
-"<from> <sym> <to>" line per transition. A batch of transition lines all
-in that plain form (single spaces, no comment) is converted in bulk, any
-other batch line by line, by the same rules with the same errors. Graph
-files start with "<n> <m>" followed by m undirected edge lines "<u> <v>".
+"<from> <sym> <to>" line per transition. Graph files start with "<n> <m>"
+followed by m undirected edge lines "<u> <v>". A batch of transition or
+edge lines all in plain form (single spaces, no comment) is converted in
+bulk, through one lane for both kinds of file; any other batch, and a batch
+of edges with a self-loop or a repeated edge, is read line by line, by the
+same rules with the same errors.
 Orthogonal-vectors files start with "<n> <d>" followed by n lines
 "v <bits>" and then n lines "w <bits>", each bitstring of length d. Files
 are UTF-8 text whose lines end at '\n', '\r\n' or a lone '\r'; a leading
@@ -40,6 +42,7 @@ import sys
 import time
 from dataclasses import fields
 from itertools import islice
+from operator import ne
 
 from .accept import SymbolNotInAlphabetError, accepts_length, enumerate_naive, simulate
 from .automata import Graph, Nfa, NotAcyclicError, NotUnaryError, _is_symbol, _trusted_nfa, validate
@@ -119,27 +122,42 @@ def _shown(number: int) -> str:
 
 
 _NFA_HEADERS = ("states", "alphabet", "start", "final")
-# Plain transition lines, read in bulk: blank or "<from> <sym> <to>" with single
-# spaces, \S being what str.split() keeps. In a sweep, batches of 512 to 8192
-# lines read as fast, and the heap over the kept Nfa grew with the batch
-_PLAIN_LINES = re.compile(r"(?:\S+ \S \S+)?(?:\n(?:\S+ \S \S+)?)*")
+# Plain record lines, read in bulk: blank or the record's tokens with single
+# spaces, \S being what str.split() keeps; a transition's symbol is one
+# character. In a sweep, batches of 512 to 8192 lines read as fast, and the
+# heap over the kept Nfa grew with the batch
+_PLAIN_TRANSITIONS = re.compile(r"(?:\S+ \S \S+)?(?:\n(?:\S+ \S \S+)?)*")
+_PLAIN_EDGES = re.compile(r"(?:\S+ \S+)?(?:\n(?:\S+ \S+)?)*")
 _BATCH_LINES = 2048
 
 
-def _plain_transitions(batch: list[str], symbols: set[str], state_count: int):
-    """A batch's triples if each of its lines is plain and passes the per-line rules."""
+def _plain_records(batch: list[str], pattern, shape: tuple) -> list[list] | None:
+    """A batch's token columns if each of its lines is plain and passes the
+    per-line rules of its columns, else None.
+
+    The batch must fullmatch pattern. Entry i of shape is the rule of
+    column i: an int bound for a number column, whose tokens must be ASCII
+    decimals below it and come back as ints, or the set of words a word
+    column may hold.
+    """
     block = "\n".join(batch)
-    if _PLAIN_LINES.fullmatch(block):
-        tokens = block.split()
-        numbers, labels = tokens[0::3] + tokens[2::3], tokens[1::3]
-        if _is_decimal("".join(numbers)) and symbols.issuperset(labels):
+    if not pattern.fullmatch(block):
+        return None
+    tokens = block.split()
+    columns = [tokens[i :: len(shape)] for i in range(len(shape))]
+    for i, rule in enumerate(shape):
+        if isinstance(rule, int):
+            if not _is_decimal("".join(columns[i])):
+                return None
             try:
-                numbers = list(map(int, numbers))
+                columns[i] = list(map(int, columns[i]))
             except ValueError:  # more digits than int() converts
                 return None
-            if max(numbers) < state_count:
-                return zip(numbers, labels, numbers[len(labels) :])
-    return None
+            if max(columns[i]) >= rule:
+                return None
+        elif not rule.issuperset(columns[i]):
+            return None
+    return columns
 
 
 def parse_nfa(text: str) -> Nfa:
@@ -184,10 +202,11 @@ def parse_nfa(text: str) -> Nfa:
         if not 0 <= q < state_count:
             raise ParseError(f"final state {_shown(q)} out of range", header_lines["final"])
     transitions = []
+    shape = (state_count, symbols, state_count)
     first = line + 1  # the number of the next batch's first line
     while batch := list(islice(lines, _BATCH_LINES)):
-        if (plain := _plain_transitions(batch, symbols, state_count)) is not None:
-            transitions.extend(plain)
+        if (columns := _plain_records(batch, _PLAIN_TRANSITIONS, shape)) is not None:
+            transitions.extend(zip(*columns))
         else:
             for line, tokens in _content_lines(batch, first):
                 if tokens[0] in header_lines:
@@ -220,9 +239,9 @@ def serialize_nfa(nfa: Nfa) -> str:
 
 def _first_line(text: str, kind: str, form: str, first: str, second: str):
     """Read the two-number first line of a graph or vectors file; returns its
-    line number, both numbers and the iterator of the content lines after it."""
-    lines = _content_lines(_lines(text))
-    line, tokens = next(lines, (None, None))
+    line number, both numbers and the iterator of the lines after it."""
+    lines = iter(_lines(text))
+    line, tokens = next(_content_lines(lines), (None, None))
     if tokens is None:
         raise ParseError(f"empty {kind} file")
     if len(tokens) != 2:
@@ -235,19 +254,33 @@ def parse_graph(text: str) -> Graph:
     if not 1 <= 4 * n <= MAX_STATES:
         raise ParseError(f"vertex count must be in 1..{MAX_STATES // 4}, got {_shown(n)}", line)
     edges = set()
-    for line, tokens in lines:
-        if len(tokens) != 2:
-            raise ParseError("expected '<u> <v>'", line)
-        u = _int_token(tokens[0], "vertex", line)
-        v = _int_token(tokens[1], "vertex", line)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"vertex out of range in edge {_shown(u)} {_shown(v)}", line)
-        if u == v:
-            raise ParseError(f"self-loop on vertex {u}", line)
-        edge = (min(u, v), max(u, v))
-        if edge in edges:
-            raise ParseError(f"duplicate edge {u} {v}", line)
-        edges.add(edge)
+    first = line + 1  # the number of the next batch's first line
+    while batch := list(islice(lines, _BATCH_LINES)):
+        columns = _plain_records(batch, _PLAIN_EDGES, (n, n))
+        # a self-loop, or an edge met before in the batch or the file, leaves
+        # the batch and its error to the per-line rules
+        if (
+            columns is not None
+            and all(map(ne, *columns))
+            and len(pairs := set(zip(map(min, *columns), map(max, *columns)))) == len(columns[0])
+            and edges.isdisjoint(pairs)
+        ):
+            edges |= pairs
+        else:
+            for line, tokens in _content_lines(batch, first):
+                if len(tokens) != 2:
+                    raise ParseError("expected '<u> <v>'", line)
+                u = _int_token(tokens[0], "vertex", line)
+                v = _int_token(tokens[1], "vertex", line)
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ParseError(f"vertex out of range in edge {_shown(u)} {_shown(v)}", line)
+                if u == v:
+                    raise ParseError(f"self-loop on vertex {u}", line)
+                edge = (min(u, v), max(u, v))
+                if edge in edges:
+                    raise ParseError(f"duplicate edge {u} {v}", line)
+                edges.add(edge)
+        first += len(batch)
     if len(edges) != m:  # each edge line added one edge
         raise ParseError(f"expected {_shown(m)} edge lines, found {len(edges)}")
     return Graph(n, frozenset(edges))
@@ -263,7 +296,7 @@ def parse_ov(text: str) -> OvInstance:
     if states > MAX_STATES:
         raise ParseError(f"n={n}, d={d} reduces to {states} states, more than {MAX_STATES}", line)
     vectors: list[tuple[int, ...]] = []  # the n v-vectors, then the n w-vectors
-    for line, tokens in lines:
+    for line, tokens in _content_lines(lines, line + 1):
         expected = "v" if len(vectors) < n else "w"
         if len(tokens) != 2 or tokens[0] != expected:
             raise ParseError(f"expected '{expected} <bitstring>'", line)
@@ -373,22 +406,32 @@ def cmd_triangle_check(args) -> int:
     return _verdict(found, "TRIANGLE", "TRIANGLE-FREE")
 
 
-# timings per engine and instance in bench; each reported time is their median
+# repetitions per engine and instance in bench, which alternate the engines
 BENCH_REPETITIONS = 5
+# each repetition calls its engine until this many seconds have passed, as
+# timeit's autorange does, and bench reports the median time of all the calls:
+# one call of well under a millisecond reads the host's noise as much as the call
+BENCH_MIN_SECONDS = 0.05
 _MAX_TRIALS = 1000  # instances per size, so that every bench run ends
 
 
 def _median_times(fns, repetitions: int):
     # the repetitions of fns alternate, so a drift in host speed during the
-    # run shifts every median alike; returns (median time, last result) pairs
+    # run shifts every median alike; returns (median time per call, calls
+    # made, last result) triples
     times = [[] for _ in fns]
     results = [None] * len(fns)
     for _ in range(repetitions):
         for index, fn in enumerate(fns):
-            begin = time.perf_counter()
-            results[index] = fn()
-            times[index].append(time.perf_counter() - begin)
-    return [(statistics.median(t), result) for t, result in zip(times, results)]
+            end = time.perf_counter() + BENCH_MIN_SECONDS
+            while True:
+                begin = time.perf_counter()
+                results[index] = fn()
+                now = time.perf_counter()
+                times[index].append(now - begin)
+                if now >= end:
+                    break
+    return [(statistics.median(t), len(t), result) for t, result in zip(times, results)]
 
 
 def cmd_bench(args) -> int:
@@ -410,10 +453,11 @@ def cmd_bench(args) -> int:
             instance_seed = (seed * 1000003 + n * 1009 + trial) & 0x7FFFFFFF
             nfa = random_layered_nfa(n, instance_seed)
             before = mul_calls()
-            (naive_time, naive_result), (fast_time, fast_result) = _median_times(
+            (naive_time, _, naive_result), (fast_time, fast_calls, fast_result) = _median_times(
                 (lambda: enumerate_naive(nfa), lambda: enumerate_fast(nfa)), BENCH_REPETITIONS
             )
-            multiplications = (mul_calls() - before) // BENCH_REPETITIONS
+            # the naive engine makes no products
+            multiplications = (mul_calls() - before) // fast_calls
             agreement = naive_result == fast_result
             print(
                 f"{n},{instance_seed},{naive_time:.6f},{fast_time:.6f},"

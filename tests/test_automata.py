@@ -98,6 +98,26 @@ def test_graph_rejects_self_loop_and_range():
     assert not g.has_edge(0, 1)
 
 
+def test_graph_normalizes_edges_as_given_in_any_collection():
+    # the old rule: every edge becomes its (min, max) pair, in a new frozenset
+    rng = seeded(3003)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        if pairs:
+            u, v = rng.choice(pairs)
+            given += [(u, v), (v, u)]  # both orientations of one edge
+        rng.shuffle(given)
+        expected = frozenset((min(u, v), max(u, v)) for u, v in given)
+        for edges in (set(given), list(given), frozenset(given), iter(given)):
+            graph = Graph(n, edges)
+            assert graph.edges == expected and type(graph.edges) is frozenset
+            assert graph == Graph(n, expected) and hash(graph) == hash(Graph(n, expected))
+        # a frozenset of (min, max) pairs is kept as given, not rebuilt
+        assert Graph(n, expected).edges is expected
+
+
 # ---------------------------------------------------------------------------
 # validate
 

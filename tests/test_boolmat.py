@@ -297,6 +297,75 @@ def test_row_times_power_walks_dense_frontiers_through_capped_tables(monkeypatch
     assert capped >= 6
 
 
+def chain_only(a):
+    """The states p whose row is bit p + 1 alone."""
+    return sum(1 << p for p, row in enumerate(a.rows) if row == 2 << p)
+
+
+def test_row_times_power_steps_chain_states_by_a_shift(monkeypatch):
+    # on a ring the last state's edge closes the cycle, so it is no chain
+    # state; on a chain with chords, the chords' sources are none either.
+    # From step 33 the walk moves chain states by one shift: the kernel
+    # never receives one's bit, and so spends no table room on them
+    calls = []
+    row_times = boolmat._row_times
+
+    def spy(row, *args, **kwargs):
+        calls.append(row)
+        return row_times(row, *args, **kwargs)
+
+    monkeypatch.setattr(boolmat, "_row_times", spy)
+    rng = seeded(131)
+    for dim in (40, 100, 257):
+        ring = BoolMatrix(dim, tuple(1 << (p + 1) % dim for p in range(dim)))
+        rows = [1 << p + 1 for p in range(dim - 1)] + [0]
+        for p in rng.sample(range(dim - 1), dim // 10):
+            rows[p] |= 1 << rng.randrange(p + 1, dim)
+        for a in (ring, BoolMatrix(dim, tuple(rows))):
+            chain = chain_only(a)
+            assert chain.bit_count() >= dim - 1 - dim // 10
+            for row in (1, rng.getrandbits(dim) | 1):
+                expected = per_bit_product([row], power(a, (1 << 63) - 1).rows)[0]
+                calls.clear()
+                assert row_times_power(a, row, (1 << 63) - 1) == expected
+                assert len(calls) > 33
+                assert all(call & chain == 0 for call in calls[32:])
+                assert any(call & chain for call in calls[:32])
+
+
+def test_row_times_power_matches_per_bit_products_on_mixed_rows():
+    # rows of four kinds: chain only (p -> p + 1), chain plus a chord,
+    # a self-loop, and the last state, whose row is zero, a self-loop or an
+    # edge back; the exponents fall on both sides of step 32, dim and dim + 1
+    rng = seeded(132)
+    past = 0
+    for dim in (34, 40, 64, 97, 130):
+        for _ in range(6):
+            rows = []
+            for p in range(dim - 1):
+                kind = rng.choice("cccccxsr")
+                if kind == "c":
+                    rows.append(2 << p)
+                elif kind == "x":
+                    rows.append(2 << p | 1 << rng.randrange(dim))
+                elif kind == "s":
+                    rows.append(1 << p | (2 << p if rng.random() < 0.5 else 0))
+                else:
+                    rows.append(1 << rng.randrange(dim))
+            rows.append(rng.choice((0, 1 << dim - 1, 1 << rng.randrange(dim))))
+            a = BoolMatrix(dim, tuple(rows))
+            for row in (1, 1 << rng.randrange(dim), rng.getrandbits(dim)):
+                vectors = [row]
+                for _ in range(33):
+                    vectors.append(per_bit_product(vectors[-1:], a.rows)[0])
+                past += all(vectors) and len(set(vectors)) == 34
+                for e in (31, 32, 33, dim, dim + 1, dim + 2, (1 << 63) - 1):
+                    expected = per_bit_product([row], power(a, e).rows)[0]
+                    assert row_times_power(a, row, e) == expected, (dim, rows, row, e)
+    # the walks of many cases run past step 32 without dying or repeating
+    assert past >= 10, past
+
+
 def test_row_times_power_rejects_bad_input():
     a = identity(3)
     with pytest.raises(ValueError):

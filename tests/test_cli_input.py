@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import pytest
 
-from nfakit import Nfa, OvInstance, cli, reduce_ov
+from nfakit import Graph, Nfa, OvInstance, cli, reduce_ov
 from nfakit.cli import main
 
 
@@ -456,20 +456,20 @@ def assert_lanes_agree(text):
     spaced = "\n".join(line + " " for line in cli._lines(text))
     assert parse_outcome(spaced) == outcome, text
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_plain_transitions", lambda *args: None)
+        patch.setattr(cli, "_plain_records", lambda *args: None)
         assert parse_outcome(text) == outcome, text
 
 
 def bulk_batches(monkeypatch):
     """Record, per batch read, whether the bulk lane took it."""
-    taken, bulk = [], cli._plain_transitions
+    taken, bulk = [], cli._plain_records
 
     def spy(*args):
         triples = bulk(*args)
         taken.append(triples is not None)
         return triples
 
-    monkeypatch.setattr(cli, "_plain_transitions", spy)
+    monkeypatch.setattr(cli, "_plain_records", spy)
     return taken
 
 
@@ -561,3 +561,164 @@ def test_parse_nfa_heap_is_the_nfa_it_keeps_and_one_batch():
         tracemalloc.stop()
     assert len(nfa.transitions) > 20_000
     assert peak - kept < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# parse_graph reads its edge lines through the same two lanes
+
+
+def graph_outcome(text):
+    """parse_graph's Graph, or its error's message and line."""
+    try:
+        graph = cli.parse_graph(text)
+    except cli.ParseError as exc:
+        return exc.message, exc.line
+    assert type(graph.edges) is frozenset and all(u < v for u, v in graph.edges)
+    return graph
+
+
+def assert_graph_lanes_agree(text):
+    # as assert_lanes_agree: a space at each line's end takes every batch off
+    # the bulk lane, and with the lane shut the per-line rules read them all
+    outcome = graph_outcome(text)
+    spaced = "\n".join(line + " " for line in cli._lines(text))
+    assert graph_outcome(spaced) == outcome, text
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_plain_records", lambda *args: None)
+        assert graph_outcome(text) == outcome, text
+    return outcome
+
+
+def per_line_batches(monkeypatch):
+    """Record the first line number of each edge batch that the per-line
+    rules read; the bulk lane took the others."""
+    firsts, content_lines = [], cli._content_lines
+
+    def spy(lines, first=1):
+        if first > 1:  # the "<n> <m>" line is read from line 1
+            firsts.append(first)
+        return content_lines(lines, first)
+
+    monkeypatch.setattr(cli, "_content_lines", spy)
+    return firsts
+
+
+PATH4 = ["0 1", "1 2", "2 3"]
+VERTEX = "vertex must be a decimal integer, got {!r}"
+
+
+@pytest.mark.parametrize(
+    "text, expected, bulk",
+    [
+        ("4 3\n" + "\n".join(PATH4) + "\n", None, True),
+        ("4 3\n0 1\n\n1 2\n2 3", None, True),
+        ("4 3\r\n" + "\r\n".join(PATH4) + "\r\n", None, True),
+        ("4 3\r" + "\r".join(PATH4) + "\r", None, True),
+        ("4 3\n# note\n" + "\n".join(PATH4) + "\n", None, False),
+        ("4 3\n0\t1\n1 2\n2 3\n", None, False),
+        ("4 3\n0  1\n1 2\n2 3\n", None, False),
+        ("4 3\n 0 1\n1 2\n2 3\n", None, False),
+        ("4 3\n0 1 \n1 2\n2 3\n", None, False),
+        ("4 3\n0\u20281\n1 2\n2 3\n", None, False),
+        ("8 2\n007 1\n0 006\n", None, True),
+        ("4 1\n0 +1\n", (VERTEX.format("+1"), 2), False),
+        ("12 1\n0 1_0\n", (VERTEX.format("1_0"), 2), False),
+        ("4 1\n0 \u0662\n", (VERTEX.format("\u0662"), 2), False),
+        ("4 2\n0 1\n\u00b2 1\n", (VERTEX.format("\u00b2"), 3), False),
+        ("4 1\n0 " + "9" * 4301 + "\n", ("vertex has 4301 digits, too many to convert", 2), False),
+        ("4 1\n" + "0" * 4301 + " 1\n", ("vertex has 4301 digits, too many to convert", 2), False),
+        ("4 2\n0 1\n2 2\n", ("self-loop on vertex 2", 3), False),
+        ("4 2\n0 1\n1 0\n", ("duplicate edge 1 0", 3), False),
+        ("4 2\n0 3\n0 3\n", ("duplicate edge 0 3", 3), False),
+        ("4 1\n0 4\n", ("vertex out of range in edge 0 4", 2), False),
+        ("4 1\n0 1 2\n", ("expected '<u> <v>'", 2), False),
+        ("4 1\n0 1 # note\n", ("expected '<u> <v>'", 2), False),
+        ("4 1\n#0 1\n", ("expected 1 edge lines, found 0", None), False),
+        ("4 3\n0 1\n1 2\n", ("expected 3 edge lines, found 2", None), True),
+        ("4 1\n0 1\n1 2\n", ("expected 1 edge lines, found 2", None), True),
+    ],
+    ids=lambda value: ascii(value)[:40] if isinstance(value, str) else None,
+)
+def test_graph_lanes_agree(text, expected, bulk, monkeypatch):
+    for batch in (1, 2, cli._BATCH_LINES):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_BATCH_LINES", batch)
+            outcome = assert_graph_lanes_agree(text)
+            assert isinstance(outcome, Graph) if expected is None else outcome == expected
+    firsts = per_line_batches(monkeypatch)
+    graph_outcome(text)
+    assert firsts == ([] if bulk else [2])
+
+
+def test_a_graph_file_reads_alike_with_a_byte_order_mark(tmp_path, monkeypatch):
+    path = tmp_path / "input.graph"
+    for text in ("4 3\n" + "\n".join(PATH4) + "\n", "4 2\n0 1\n1 0\n", "4 2\n0 1\n"):
+        outcomes = []
+        for lane in (True, False):
+            with monkeypatch.context() as patch:
+                if not lane:
+                    patch.setattr(cli, "_plain_records", lambda *args: None)
+                for data in (text.encode(), b"\xef\xbb\xbf" + text.encode()):
+                    path.write_bytes(data)
+                    outcomes.append(run(["triangle-check", str(path)]))
+        assert outcomes[1:] == outcomes[:1] * 3, text
+
+
+def test_a_graph_error_in_a_later_batch_names_its_file_line(monkeypatch):
+    batch = cli._BATCH_LINES
+    pairs = list(itertools.combinations(range(100), 2))[: 2 * batch]
+    firsts = per_line_batches(monkeypatch)
+    # lines[i] is file line i + 2, after the "<n> <m>" line
+    for at, bad, message in (
+        (batch + 3, "{1} {0}".format(*pairs[5]), "duplicate edge {1} {0}".format(*pairs[5])),
+        (batch, "{0} {1}".format(*pairs[batch - 1]), "duplicate edge {0} {1}".format(*pairs[batch - 1])),
+        (batch + 7, "9 9", "self-loop on vertex 9"),
+    ):
+        lines = [f"{u} {v}" for u, v in pairs]
+        lines[at] = bad
+        text = f"100 {len(lines)}\n" + "\n".join(lines) + "\n"
+        firsts.clear()
+        assert graph_outcome(text) == (message, at + 2)
+        # the first batch went in bulk, the second to the per-line rules
+        assert firsts == [batch + 2]
+        assert_graph_lanes_agree(text)
+    # both orientations, and too few or too many edge lines for the count
+    lines = [f"{v} {u}" if (u * v) % 3 else f"{u} {v}" for u, v in pairs]
+    for count in (len(lines) + 1, len(lines) - 1):
+        text = f"100 {count}\n" + "\n".join(lines) + "\n"
+        expected = (f"expected {count} edge lines, found {len(lines)}", None)
+        assert assert_graph_lanes_agree(text) == expected
+    graph = assert_graph_lanes_agree(f"100 {len(lines)}\n" + "\n".join(lines) + "\n")
+    assert graph == Graph(100, frozenset(pairs))
+
+
+def test_generated_graph_files_read_alike_in_both_lanes(monkeypatch):
+    rng = random.Random(3001)
+    odd_lines = ("# c", "", "  ", "0  1", "0\t1", "1 1", "0 +1", "0 1_0", "0 \u0662", "x y", "0 1 2")
+    for _ in range(150):
+        n = rng.randint(1, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        rng.shuffle(pairs)
+        lines = [f"{v} {u}" if rng.random() < 0.5 else f"{u} {v}" for u, v in pairs]
+        # a repeated line, one out of range, or one that is not plain
+        odd_count = rng.choice((0, 0, 1, 2))
+        for _ in range(odd_count):
+            odd = rng.choice(odd_lines + (rng.choice(lines or ["0 1"]), f"{n} 0"))
+            lines.insert(rng.randint(0, len(lines)), odd)
+        count = len(pairs) + rng.choice((0, 0, 0, -1, 1))
+        text = f"{n} {count}\n" + rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+        for batch in (1, 2, cli._BATCH_LINES):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_BATCH_LINES", batch)
+                outcome = assert_graph_lanes_agree(text)
+        if not odd_count and count == len(pairs):
+            assert outcome == Graph(n, frozenset(pairs))
+
+
+def test_hostile_graph_files_read_alike_in_both_lanes(tmp_path, monkeypatch):
+    for batch in (1, 2, cli._BATCH_LINES):
+        monkeypatch.setattr(cli, "_BATCH_LINES", batch)
+        for argv in hostile_cases(8129, 600, tmp_path):
+            if argv[0] in ("triangle-check", "reduce-triangle") and len(argv) > 1:
+                data = (tmp_path / "input.txt").read_bytes()
+                assert_graph_lanes_agree(data.decode("utf-8").removeprefix("\ufeff"))

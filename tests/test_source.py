@@ -134,8 +134,8 @@ def test_line_breaks_and_integer_tokens_each_have_one_owner():
     # cli._lines alone decides where a line ends (str.splitlines() also
     # breaks at U+2028 and others), cli._int_token alone turns a token into
     # an integer with an error, and cli._is_decimal alone says which tokens
-    # are numbers, for _int_token and for parse_nfa's bulk lane, so each
-    # input rule and its errors live in one place
+    # are numbers, for _int_token and for the bulk lane that parse_nfa and
+    # parse_graph share, so each input rule and its errors live in one place
     splitters = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SOURCE.glob("*.py"))
@@ -180,7 +180,7 @@ def test_line_breaks_and_integer_tokens_each_have_one_owner():
         for node in ast.walk(func)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "_is_decimal"
     }
-    assert users == {"_int_token", "_plain_transitions"}
+    assert users == {"_int_token", "_plain_records"}
 
 
 def test_the_package_builds_every_nfa_through_trusted_nfa():
