@@ -36,6 +36,7 @@ from .reductions import (
     TriangleReduction,
     has_triangle_brute,
     has_triangle_matmul,
+    has_triangle_reduction,
     ov_brute,
     reduce_ov,
     reduce_triangle,
@@ -63,6 +64,7 @@ __all__ = [
     "finals_mask",
     "has_triangle_brute",
     "has_triangle_matmul",
+    "has_triangle_reduction",
     "identity",
     "mul",
     "mul_calls",

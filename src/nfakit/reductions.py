@@ -2,7 +2,9 @@
 
 Two constructions live here. The first turns triangle detection in an
 undirected graph into a length-acceptance question on a four-layer unary
-acyclic NFA. The second turns the orthogonal-vectors problem into plain
+acyclic NFA, whose 4n adjacency rows `_triangle_rows` builds straight from
+the graph: it alone owns that layout, and the NFA's transitions are read
+off its rows. The second turns the orthogonal-vectors problem into plain
 NFA acceptance of one fixed input word over the alphabet {'0', '1'}.
 Each construction ships with an independent brute-force decision
 procedure used to certify it.
@@ -11,10 +13,11 @@ procedure used to certify it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .automata import Graph, Nfa, _trusted_nfa
-from .boolmat import BoolMatrix, _check_size, mul
+from .boolmat import BoolMatrix, _check_size, mul, row_times_power
 
 UNARY_LETTER = "a"
 BITS = ("0", "1")
@@ -22,14 +25,30 @@ BITS = ("0", "1")
 
 @dataclass(frozen=True)
 class TriangleReduction:
-    """Four-layer unary NFA built from a graph (layout: `reduce_triangle`).
+    """Four-layer unary NFA built from a graph, held as its 4n adjacency
+    rows (layout: `reduce_triangle`).
 
     A word of length target_length = n + 2 is accepted iff the graph
-    has a triangle.
+    has a triangle. The rows are what the length test walks; `nfa` reads
+    the automaton's transitions off them, on its first read only.
     """
 
-    nfa: Nfa
+    rows: tuple[int, ...]
     target_length: int
+
+    @cached_property
+    def nfa(self) -> Nfa:
+        """The automaton: state 0 starts, state 4n - 1 alone is final, and
+        each set bit q of row p is a transition p -> q on UNARY_LETTER."""
+        state_count = len(self.rows)
+        transitions = []
+        for src, row in enumerate(self.rows):
+            while row:
+                dst = row.bit_length() - 1
+                transitions.append((src, UNARY_LETTER, dst))
+                row ^= 1 << dst
+        finals = frozenset({state_count - 1})
+        return _trusted_nfa(state_count, (UNARY_LETTER,), 0, finals, frozenset(transitions))
 
 
 @dataclass(frozen=True)
@@ -74,7 +93,8 @@ def ov_state_count(n: int, d: int) -> int:
 
 
 def reduce_triangle(graph: Graph) -> TriangleReduction:
-    """Build the four-layer unary NFA deciding triangle existence.
+    """Build the four-layer unary NFA deciding triangle existence, as its
+    4n adjacency rows.
 
     State (j-1)*n + i is copy i of the graph's vertex set in layer j
     (layers 1..4), so divmod(state, n) gives (j - 1, i). Layer 1 and
@@ -83,27 +103,46 @@ def reduce_triangle(graph: Graph) -> TriangleReduction:
     between consecutive layers 1->2, 2->3 and 3->4. The start is
     vertex 0's copy in layer 1 and the sole final state is vertex n-1's
     copy in layer 4, so the automaton has exactly 4n states and
-    2(n-1) + 6m transitions.
+    2(n-1) + 6m transitions. `_triangle_rows` owns this layout.
     """
-    n = graph.vertex_count
-    transitions = set()
-    for i in range(n - 1):
-        transitions.add((i, UNARY_LETTER, i + 1))
-        transitions.add((3 * n + i, UNARY_LETTER, 3 * n + i + 1))
-    for u, v in graph.edges:
-        for layer in range(3):
-            transitions.add((layer * n + u, UNARY_LETTER, (layer + 1) * n + v))
-            transitions.add((layer * n + v, UNARY_LETTER, (layer + 1) * n + u))
-    nfa = _trusted_nfa(4 * n, (UNARY_LETTER,), 0, frozenset({4 * n - 1}), frozenset(transitions))
-    return TriangleReduction(nfa=nfa, target_length=n + 2)
+    return TriangleReduction(_triangle_rows(graph), graph.vertex_count + 2)
 
 
-def _graph_matrix(graph: Graph) -> BoolMatrix:
+def _graph_rows(graph: Graph) -> list[int]:
+    # bit v of rows[u] is set iff {u, v} is an edge
     rows = [0] * graph.vertex_count
     for u, v in graph.edges:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return BoolMatrix(graph.vertex_count, tuple(rows))
+    return rows
+
+
+def _triangle_rows(graph: Graph) -> tuple[int, ...]:
+    # reduce_triangle's adjacency rows: for layers j = 1..3, row (j-1)n + u
+    # is u's graph row shifted left by jn, its edges into layer j + 1; rows
+    # i < n - 1 of layers 1 and 4 also hold the chain bit i -> i + 1
+    n = graph.vertex_count
+    rows = _graph_rows(graph)
+    layer1 = [row << n | 2 << i for i, row in enumerate(rows[:-1])] + [rows[-1] << n]
+    layer4 = [2 << p for p in range(3 * n, 4 * n - 1)] + [0]
+    return tuple(layer1 + [row << 2 * n for row in rows] + [row << 3 * n for row in rows] + layer4)
+
+
+def _accepts_target(reduction: TriangleReduction) -> bool:
+    # the length test on the reduction's own rows: the start row 1 << 0
+    # times the adjacency to the power target_length, read at the final bit
+    rows = reduction.rows
+    reached = row_times_power(BoolMatrix(len(rows), rows), 1, reduction.target_length)
+    return bool(reached >> len(rows) - 1)
+
+
+def has_triangle_reduction(graph: Graph) -> bool:
+    """Decide by the paper's reduction: is a word of length n + 2 accepted?
+
+    Walks the start row through the 4n reduction rows that reduce_triangle
+    builds straight from the graph, with no transition triples and no Nfa.
+    """
+    return _accepts_target(reduce_triangle(graph))
 
 
 def has_triangle_matmul(graph: Graph) -> bool:
@@ -112,7 +151,7 @@ def has_triangle_matmul(graph: Graph) -> bool:
     An edge {u, v} closes a triangle iff u and v share a neighbour, that is
     iff entry (u, v) of the square is set, so one product decides it.
     """
-    m = _graph_matrix(graph)
+    m = BoolMatrix(graph.vertex_count, tuple(_graph_rows(graph)))
     square = mul(m, m)
     return any(row & square_row for row, square_row in zip(m.rows, square.rows))
 

@@ -26,6 +26,7 @@ SLOW = {
     "tests/test_acceptance.py::test_criterion_1_triangle_reduction_exhaustive",
     "tests/test_acceptance.py::test_criterion_4_enumeration_equivalence",
     "tests/test_acceptance.py::test_criterion_7_ov_reduction",
+    "tests/test_acceptance.py::test_criterion_8_benchmark_trend",
     "tests/test_source.py::test_benchmark_selfcheck_passes_on_a_copy",
     "tests/test_accept.py::test_enumerate_heap_does_not_grow_with_the_states_scanned",
     "tests/test_fuzz.py::test_bulk_and_per_line_lanes_agree_on_generated_files",

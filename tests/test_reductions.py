@@ -1,4 +1,5 @@
-from itertools import product
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
@@ -7,9 +8,11 @@ from nfakit import (
     Graph,
     OvInstance,
     accepts_length,
+    adjacency_matrix,
     enumerate_fast,
     has_triangle_brute,
     has_triangle_matmul,
+    has_triangle_reduction,
     mul_calls,
     ov_brute,
     reduce_ov,
@@ -18,7 +21,8 @@ from nfakit import (
     trim,
     validate,
 )
-from nfakit.reductions import ov_state_count
+from nfakit import accept, automata, cli, reductions
+from nfakit.reductions import TriangleReduction, _triangle_rows, ov_state_count
 
 from conftest import all_graphs, assert_built_as_checked, random_graph, seeded
 
@@ -98,6 +102,121 @@ def test_three_triangle_deciders_agree_exhaustively():
             red = reduce_triangle(g)
             assert accepts_length(red.nfa, red.target_length) == brute
             assert (red.target_length in enumerate_fast(red.nfa)) == brute
+
+
+def layout_triples(graph):
+    """reduce_triangle's docstring, read literally: layer j's copy of vertex
+    i is state (j-1)n + i; chains i -> i+1 in layers 1 and 4; both crossings
+    of every edge between layers 1->2, 2->3 and 3->4."""
+    n = graph.vertex_count
+    triples = set()
+    for i in range(n - 1):
+        triples.add((i, "a", i + 1))
+        triples.add((3 * n + i, "a", 3 * n + i + 1))
+    for u, v in graph.edges:
+        for j in range(1, 4):
+            triples.add(((j - 1) * n + u, "a", j * n + v))
+            triples.add(((j - 1) * n + v, "a", j * n + u))
+    return triples
+
+
+def layout_rows(graph):
+    rows = [0] * (4 * graph.vertex_count)
+    for src, _sym, dst in layout_triples(graph):
+        rows[src] |= 1 << dst
+    return tuple(rows)
+
+
+def layout_graphs():
+    yield from all_graphs(5)
+    rng = seeded(311)
+    sixes = list(all_graphs(6))
+    yield from rng.sample(sixes, 600)
+    for n in (1, 2, 3, 17, 64):
+        yield Graph(n, frozenset())
+        yield Graph(n, frozenset(combinations(range(n), 2)))
+    for _ in range(60):
+        yield random_graph(rng.randint(1, 64), rng.random(), rng)
+
+
+def test_triangle_rows_follow_the_documented_layout():
+    for g in layout_graphs():
+        rows = layout_rows(g)
+        reduction = reduce_triangle(g)
+        assert _triangle_rows(g) == rows
+        assert reduction.rows == rows
+        assert adjacency_matrix(reduction.nfa).rows == rows
+        assert reduction.nfa.transitions == layout_triples(g)
+        assert reduction.nfa.finals == {4 * g.vertex_count - 1}
+        assert reduction.target_length == g.vertex_count + 2
+
+
+def test_triangle_reduction_reads_its_automaton_once():
+    reduction = reduce_triangle(K3)
+    assert reduction.nfa is reduction.nfa
+    assert reduction == TriangleReduction(_triangle_rows(K3), 5)
+    assert hash(reduction) == hash(reduce_triangle(K3))
+
+
+def test_reduction_engine_agrees_with_the_other_two():
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    rng = seeded(312)
+    graphs += [random_graph(rng.randint(1, 48), rng.random() * 0.4, rng) for _ in range(150)]
+    found = set()
+    for g in graphs:
+        brute = has_triangle_brute(g)
+        assert has_triangle_reduction(g) == brute == has_triangle_matmul(g)
+        found.add(brute)
+    assert found == {True, False}
+
+
+def test_reduction_engine_builds_no_triples_and_no_automaton(tmp_path, monkeypatch, capsys):
+    # the Nfa builder, the adjacency re-read, accepts_length and the
+    # reduction's nfa all raise, wherever they are looked up, and so does
+    # reductions.reduce_triangle; the CLI reduces through its own binding of
+    # reduce_triangle, which builds rows only, and still answers
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reduction engine read triples or built an Nfa")
+
+    for module in (automata, reductions):
+        monkeypatch.setattr(module, "_trusted_nfa", refuse)
+    for module in (automata, accept):
+        monkeypatch.setattr(module, "adjacency_matrix", refuse)
+    monkeypatch.setattr(reductions, "reduce_triangle", refuse)
+    monkeypatch.setattr(cli, "accepts_length", refuse)
+    monkeypatch.setattr(TriangleReduction, "nfa", property(refuse))
+    rng = seeded(313)
+    graphs = [K3, C4, P5, Graph(1, frozenset())]
+    graphs += [random_graph(rng.randint(2, 40), 0.15, rng) for _ in range(12)]
+    for index, g in enumerate(graphs):
+        path = tmp_path / f"g{index}.graph"
+        path.write_text(f"{g.vertex_count} {len(g.edges)}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        found = has_triangle_brute(g)
+        assert cli.main(["triangle-check", str(path), "--engine", "reduction"]) == (0 if found else 1)
+        assert capsys.readouterr().out == ("TRIANGLE\n" if found else "TRIANGLE-FREE\n")
+
+
+def test_reduction_engine_heap_on_a_bipartite_graph_with_one_triangle():
+    # 768 vertices, p = 0.025, 3,645 edges. The engine's 4n rows and its
+    # walk peaked at 2.86 MiB. Building the 23,404 transition triples, their
+    # Nfa and its adjacency before the walk peaked at 6.62 MiB; the bound
+    # sits between the two
+    n, rng = 768, seeded(31)
+    order = rng.sample(range(n), n)
+    left, right = order[: n // 2], order[n // 2 :]
+    edges = {(min(u, v), max(u, v)) for u in left for v in right if rng.random() < 0.025}
+    a, c = rng.sample(left, 2)
+    b = rng.choice(right)
+    edges |= {(min(a, b), max(a, b)), (min(a, c), max(a, c)), (min(b, c), max(b, c))}
+    graph = Graph(n, frozenset(edges))
+    tracemalloc.start()
+    try:
+        found = has_triangle_reduction(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found
+    assert peak < 9 << 19  # 4.5 MiB
 
 
 def test_brute_trivials():
